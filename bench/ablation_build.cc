@@ -53,8 +53,8 @@ main()
         SampleDesign::systematic(b.length, n, 1000, cfg.detailedWarming);
     const LivePointBuilderConfig bc = defaultBuilderConfig();
 
-    // Sequential reference: the PR-2 build path (simulate, serialize,
-    // and compress on one thread).
+    // Sequential reference: simulate, serialize, and compress on one
+    // thread.
     LivePointBuilderConfig seqCfg = bc;
     seqCfg.buildThreads = 1;
     seqCfg.pipelineEncode = false;
@@ -112,7 +112,7 @@ main()
             shards == 1 ? (identical ? "true" : "false") : "null");
     }
 
-    // Container I/O: streaming LPLIB3 save, zero-copy load.
+    // Container I/O: streaming LPLIB4 save, zero-copy load.
     const std::string path = s.cacheDir + "/ablation-build-io.lpl";
     const auto tSave = std::chrono::steady_clock::now();
     seqLib.save(path);
@@ -126,7 +126,7 @@ main()
         loaded.totalCompressedBytes() != seqLib.totalCompressedBytes())
         panic("ablation_build: container round-trip mismatch");
     std::printf("\ncontainer: %s on disk, save %.2f ms, load %.2f ms "
-                "(LPLIB3, streamed write / zero-copy read)\n",
+                "(LPLIB4, streamed write / zero-copy read)\n",
                 fmtBytes(fileBytes).c_str(), saveMs, loadMs);
 
     const std::string json = strfmt(

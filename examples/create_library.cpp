@@ -10,16 +10,15 @@
  * run it once per benchmark to grow a multi-workload set a campaign
  * can open lazily, shard by shard.
  *
- * Checkpoint-economics options: --dict trains a shared per-library
- * compression dictionary, --delta delta-encodes consecutive points
- * against their predecessor (both cut bytes/point, neither changes a
- * single decoded bit), and --restricted stores only the live state
+ * Checkpoint-economics options: --delta delta-encodes consecutive
+ * points against their predecessor (cuts bytes/point without changing
+ * a single decoded bit), and --restricted stores only the live state
  * the 8-way Table 1 baseline consumes (the restricted tier) instead
  * of the full 16-way maxima — smaller, but it no longer serves the
  * 16-way configuration.
  *
  * Usage: create_library <benchmark> [output.lpl] [--n <windows>]
- *                       [--set <dir>] [--dict] [--delta]
+ *                       [--set <dir>] [--delta]
  *                       [--restricted]
  *        create_library --list
  */
@@ -66,7 +65,6 @@ run(int argc, char **argv)
     std::string output = name + ".lpl";
     std::string setDir;
     std::uint64_t forcedN = 0;
-    bool dict = false;
     bool delta = false;
     bool restricted = false;
     for (int i = 2; i < argc; ++i) {
@@ -74,13 +72,17 @@ run(int argc, char **argv)
             forcedN = std::strtoull(argv[++i], nullptr, 10);
         else if (std::strcmp(argv[i], "--set") == 0 && i + 1 < argc)
             setDir = argv[++i];
-        else if (std::strcmp(argv[i], "--dict") == 0)
-            dict = true;
         else if (std::strcmp(argv[i], "--delta") == 0)
             delta = true;
         else if (std::strcmp(argv[i], "--restricted") == 0)
             restricted = true;
-        else
+        else if (std::strncmp(argv[i], "--", 2) == 0) {
+            // An unknown (or retired, like --dict) option must not
+            // become the output file name.
+            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
+                         argv[i]);
+            return 1;
+        } else
             output = argv[i];
     }
 
@@ -138,7 +140,6 @@ run(int argc, char **argv)
                    bc.maxL2.sizeBytes / 1024),
                bc.maxL2.assoc);
     }
-    bc.sharedDictionary = dict;
     bc.deltaEncode = delta;
     LivePointBuilder builder(bc);
     inform("step 2: creating %llu live-points (one full-warming "

@@ -15,7 +15,8 @@
  * architectural content of every point (registers, live-state image)
  * is *exact* regardless of sharding — execution is deterministic from
  * the snapshots — and the MRRL result (Figs 4-5) bounds the warm-state
- * bias at each shard's leading windows. Point serialization and
+ * bias at each shard's leading windows. Every record, plain or delta,
+ * goes through one encoder (with a raw checksum); serialization and
  * compression are pipelined onto encoder threads, so even the S=1
  * build overlaps simulation with encoding while staying bit-identical
  * to the sequential reference.
@@ -68,30 +69,17 @@ struct LivePointBuilderConfig
 
     /**
      * Offload point serialization + compression from the simulating
-     * threads. Off = the PR-2 sequential reference path (only
-     * meaningful with buildThreads == 1).
+     * threads. Off = the sequential reference path (only meaningful
+     * with buildThreads == 1).
      */
     bool pipelineEncode = true;
-
-    /**
-     * Train a shared preset dictionary from the first few points'
-     * payloads (a deterministic sequential pre-pass) and prime every
-     * non-delta record with it. Saves as LPLIB4.
-     */
-    bool sharedDictionary = false;
-
-    /** Dictionary size; the codec window caps the useful reach at 64KB. */
-    std::size_t dictionaryBytes = 32 * 1024;
-
-    /** Points sampled (and pre-warmed) for dictionary training. */
-    std::size_t dictionarySamples = 4;
 
     /**
      * Delta-encode each point against its predecessor's raw payload
      * (successive points share most warm state). Each record keeps
      * whichever encoding is smaller, so delta never costs bytes; a
      * keyframe every maxDeltaChain points (and at every shard start)
-     * bounds the chain a replay must rebuild. Saves as LPLIB4.
+     * bounds the chain a replay must rebuild.
      */
     bool deltaEncode = false;
 

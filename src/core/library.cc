@@ -16,10 +16,10 @@ namespace lp
 namespace
 {
 
-// LPLIB2: the whole library is one DER sequence starting with this
-// magic integer. LPLIB3: the file starts with the 8-byte tag below
-// (first byte 'L' can never open a DER sequence, so the two formats
-// dispatch on the first bytes alone).
+// LPLIB2 (read-only): the whole library is one DER sequence starting
+// with this magic integer. LPLIB3 (read-only): the file starts with
+// the 8-byte tag below (first byte 'L' can never open a DER sequence,
+// so the formats dispatch on the first bytes alone).
 constexpr std::uint64_t kFileMagic2 = 0x4c50'4c49'4232ull; // "LPLIB2"
 constexpr std::uint8_t kMagic3[8] = {'L', 'P', 'L', 'I',
                                      'B', '3', '\n', '\0'};
@@ -27,8 +27,9 @@ constexpr std::uint64_t kLpl3Version = 1;
 constexpr std::size_t kLpl3HeaderBytes = 64;
 constexpr std::size_t kLpl3TableEntryBytes = 32;
 
-// LPLIB4: LPLIB3 plus a shared-dictionary section between meta and
-// table, and a wider table row carrying per-record encoding flags,
+// LPLIB4, the one written format: LPLIB3 plus a dictionary section
+// between meta and table (always empty — the shared dictionary is
+// retired), and a wider table row carrying per-record encoding flags,
 // the delta base's position, and a raw-payload checksum.
 constexpr std::uint8_t kMagic4[8] = {'L', 'P', 'L', 'I',
                                      'B', '4', '\n', '\0'};
@@ -36,8 +37,6 @@ constexpr std::uint64_t kLpl4Version = 1;
 constexpr std::size_t kLpl4HeaderBytes = 80;
 constexpr std::size_t kLpl4TableEntryBytes = 56;
 constexpr std::uint64_t kNoBase = ~std::uint64_t(0);
-constexpr std::uint8_t kAllFlags = LivePointLibrary::kFlagDict |
-                                   LivePointLibrary::kFlagDelta;
 
 void
 putU64le(std::uint8_t *out, std::uint64_t v)
@@ -269,7 +268,7 @@ LivePointLibrary::releaseRecord(std::size_t i) const
 LivePoint
 LivePointLibrary::get(std::size_t i) const
 {
-    Blob scratch;
+    LivePointDecodeScratch scratch;
     LivePoint p;
     decodeInto(i, scratch, p);
     return p;
@@ -283,19 +282,18 @@ LivePointLibrary::decodeOne(std::size_t filePos, Blob &out,
     const ByteSpan rec = recordAt(filePos);
     if (r.flags & kFlagDelta)
         zipDecompressDeltaInto(rec.data, rec.size, prev, out);
-    else if (r.flags & kFlagDict)
-        zipDecompressInto(rec.data, rec.size, out, ByteSpan(dict_));
     else
         zipDecompressInto(rec.data, rec.size, out);
     // Cross-check the decoded bytes against the index table's
     // accounting: rawSize catches torn records through every path,
-    // and the raw checksum makes dictionary/delta corruption — a
-    // flipped dictionary byte, a broken chain — fail loudly instead
-    // of deserializing garbage.
+    // and the raw checksum makes any corruption the codec cannot see
+    // — a flipped literal, a broken delta chain — fail loudly instead
+    // of deserializing garbage. Only records stored without one (the
+    // read-only LPLIB2/LPLIB3 layouts, addCompressed()) skip it.
     if (out.size() != r.rawSize)
         throw std::runtime_error(
             strfmt("live-point %zu: record size mismatch", filePos));
-    if (r.flags && r.rawHash &&
+    if (r.rawHash &&
         livePointRawHash(out.data(), out.size()) != r.rawHash)
         throw std::runtime_error(
             strfmt("live-point %zu: raw checksum mismatch", filePos));
@@ -373,40 +371,6 @@ LivePointLibrary::decodeInto(std::size_t i,
     }
 }
 
-void
-LivePointLibrary::decodeInto(std::size_t i, Blob &scratch,
-                             LivePoint &out) const
-{
-    LivePointDecodeScratch s;
-    s.payload.swap(scratch);
-    decodeInto(i, s, out);
-    s.payload.swap(scratch);
-}
-
-void
-LivePointLibrary::add(const LivePoint &point)
-{
-    const Blob raw = point.serialize();
-    if (dict_.empty()) {
-        addCompressed(zipCompress(raw), raw.size(), point.index);
-        return;
-    }
-    addEncoded(zipCompress(raw, ByteSpan(dict_)), raw.size(),
-               point.index, kFlagDict,
-               livePointRawHash(raw.data(), raw.size()));
-}
-
-void
-LivePointLibrary::setDictionary(Blob dict)
-{
-    for (const RecordRef &r : refs_)
-        if (r.flags & kFlagDict)
-            throw std::runtime_error(
-                "library: dictionary change after dictionary-primed "
-                "records were added");
-    dict_ = std::move(dict);
-}
-
 std::size_t
 LivePointLibrary::deltaCount() const
 {
@@ -437,11 +401,8 @@ LivePointLibrary::addEncoded(const Blob &compressed,
                              std::uint64_t windowIndex,
                              std::uint8_t flags, std::uint64_t rawHash)
 {
-    if (flags & ~kAllFlags)
+    if (flags & ~kFlagDelta)
         throw std::runtime_error("library: unknown record flags");
-    if ((flags & kFlagDict) && dict_.empty())
-        throw std::runtime_error(
-            "library: dictionary-primed record without a dictionary");
     if ((flags & kFlagDelta) && refs_.empty())
         throw std::runtime_error(
             "library: delta record without a predecessor");
@@ -496,12 +457,6 @@ LivePointLibrary::contentHash() const
     h = hashCombine(h, design_.count);
     h = hashCombine(h, design_.measureLen);
     h = hashCombine(h, design_.warmLen);
-    if (!dict_.empty()) {
-        std::uint64_t f = 0xcbf29ce484222325ull;
-        for (const std::uint8_t b : dict_)
-            f = (f ^ b) * 0x100000001b3ull;
-        h = hashCombine(h, f);
-    }
     std::vector<std::uint32_t> inv;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
         const RecordRef &r = refs_[pos(i)];
@@ -514,10 +469,11 @@ LivePointLibrary::contentHash() const
         for (std::size_t j = 0; j < rec.size; ++j)
             f = (f ^ rec.data[j]) * 0x100000001b3ull;
         h = hashCombine(h, f);
-        // Encoding metadata is load-bearing for dict/delta records
-        // (the delta base in *stored* order, so the hash survives a
-        // save/load round-trip of a shuffled library). Plain records
-        // fold nothing extra — their hash matches older releases.
+        // Encoding metadata is load-bearing for delta records (the
+        // base in *stored* order, so the hash survives a save/load
+        // round-trip of a shuffled library). Plain records fold
+        // nothing extra — their hash matches older releases, whatever
+        // the container, and the raw checksum stays out of it.
         if (r.flags) {
             h = hashCombine(h, r.flags);
             if (r.flags & kFlagDelta) {
@@ -555,35 +511,8 @@ LivePointLibrary::shuffle(Rng &rng)
     }
 }
 
-bool
-LivePointLibrary::usesCrossPointFeatures() const
-{
-    if (!dict_.empty())
-        return true;
-    for (const RecordRef &r : refs_)
-        if (r.flags)
-            return true;
-    return false;
-}
-
 void
-LivePointLibrary::save(const std::string &path, Format format) const
-{
-    if (format == Format::autoSelect)
-        format = usesCrossPointFeatures() ? Format::lpl4 : Format::lpl3;
-    if (format != Format::lpl4 && usesCrossPointFeatures())
-        throw std::runtime_error(
-            "library: dictionary/delta records need the LPLIB4 format");
-    if (format == Format::lpl2)
-        saveLpl2(path);
-    else if (format == Format::lpl4)
-        saveLpl4(path);
-    else
-        saveLpl3(path);
-}
-
-void
-LivePointLibrary::saveLpl3(const std::string &path) const
+LivePointLibrary::save(const std::string &path) const
 {
     if (failpointsArmed()) {
         const FailpointOutcome o = failpointFire("library.save");
@@ -597,10 +526,10 @@ LivePointLibrary::saveLpl3(const std::string &path) const
     const Blob meta = mw.finish();
 
     const std::uint64_t count = refs_.size();
-    const std::uint64_t metaOffset = kLpl3HeaderBytes;
+    const std::uint64_t metaOffset = kLpl4HeaderBytes;
     const std::uint64_t tableOffset = metaOffset + meta.size();
     const std::uint64_t dataOffset =
-        tableOffset + count * kLpl3TableEntryBytes;
+        tableOffset + count * kLpl4TableEntryBytes;
     const std::uint64_t fileSize =
         dataOffset + totalCompressedBytes();
 
@@ -609,81 +538,25 @@ LivePointLibrary::saveLpl3(const std::string &path) const
     // removed on every error path.
     AtomicFileWriter f(path, "library");
 
-    std::uint8_t header[kLpl3HeaderBytes] = {};
-    std::memcpy(header, kMagic3, sizeof(kMagic3));
-    putU64le(header + 8, kLpl3Version);
-    putU64le(header + 16, count);
-    putU64le(header + 24, metaOffset);
-    putU64le(header + 32, meta.size());
-    putU64le(header + 40, tableOffset);
-    putU64le(header + 48, dataOffset);
-    putU64le(header + 56, fileSize);
-    f.write(header, sizeof(header));
-    f.write(meta.data(), meta.size());
-
-    // Index table, then the records, streamed straight from their
-    // resident storage in stored (view) order — the save never stages
-    // the library twice.
-    std::uint64_t rel = 0;
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const RecordRef &r = refs_[pos(i)];
-        std::uint8_t row[kLpl3TableEntryBytes];
-        putU64le(row + 0, rel);
-        putU64le(row + 8, r.size);
-        putU64le(row + 16, r.rawSize);
-        putU64le(row + 24, r.index);
-        f.write(row, sizeof(row));
-        rel += r.size;
-    }
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const ByteSpan rec = record(i);
-        f.write(rec.data, rec.size);
-    }
-    f.commit();
-}
-
-void
-LivePointLibrary::saveLpl4(const std::string &path) const
-{
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.save");
-        if (o.fail)
-            throwIoError("save", "library", path, o.err);
-    }
-    DerWriter mw;
-    mw.putString(benchmark_);
-    serializeDesign(mw, design_);
-    const Blob meta = mw.finish();
-
-    const std::uint64_t count = refs_.size();
-    const std::uint64_t metaOffset = kLpl4HeaderBytes;
-    const std::uint64_t dictOffset = metaOffset + meta.size();
-    const std::uint64_t tableOffset = dictOffset + dict_.size();
-    const std::uint64_t dataOffset =
-        tableOffset + count * kLpl4TableEntryBytes;
-    const std::uint64_t fileSize =
-        dataOffset + totalCompressedBytes();
-
-    AtomicFileWriter f(path, "library");
-
     std::uint8_t header[kLpl4HeaderBytes] = {};
     std::memcpy(header, kMagic4, sizeof(kMagic4));
     putU64le(header + 8, kLpl4Version);
     putU64le(header + 16, count);
     putU64le(header + 24, metaOffset);
     putU64le(header + 32, meta.size());
-    putU64le(header + 40, dictOffset);
-    putU64le(header + 48, dict_.size());
+    putU64le(header + 40, tableOffset); // empty dictionary section
+    putU64le(header + 48, 0);
     putU64le(header + 56, tableOffset);
     putU64le(header + 64, dataOffset);
     putU64le(header + 72, fileSize);
     f.write(header, sizeof(header));
     f.write(meta.data(), meta.size());
-    f.write(dict_.data(), dict_.size());
 
-    // Records land in stored (view) order; a delta base's table field
-    // is therefore remapped to the base's stored position, so the
-    // loaded file reproduces the chains regardless of any shuffle.
+    // Index table, then the records, streamed straight from their
+    // resident storage in stored (view) order — the save never stages
+    // the library twice. A delta base's table field is remapped to the
+    // base's stored position, so the loaded file reproduces the chains
+    // regardless of any shuffle.
     const std::vector<std::uint32_t> inv = inverseOrder();
     std::uint64_t rel = 0;
     for (std::size_t i = 0; i < refs_.size(); ++i) {
@@ -707,31 +580,6 @@ LivePointLibrary::saveLpl4(const std::string &path) const
         f.write(rec.data, rec.size);
     }
     f.commit();
-}
-
-void
-LivePointLibrary::saveLpl2(const std::string &path) const
-{
-    if (failpointsArmed()) {
-        const FailpointOutcome o = failpointFire("library.save");
-        if (o.fail)
-            throwIoError("save", "library", path, o.err);
-    }
-    DerWriter w;
-    w.beginSequence();
-    w.putUint(kFileMagic2);
-    w.putString(benchmark_);
-    serializeDesign(w, design_);
-    w.putUint(refs_.size());
-    for (std::size_t i = 0; i < refs_.size(); ++i) {
-        const ByteSpan rec = record(i);
-        w.putUint(rawSize(i));
-        w.putUint(windowIndex(i));
-        w.putBytes(rec.data, rec.size);
-    }
-    w.endSequence();
-    const Blob data = w.finish();
-    writeFileAtomic(path, data.data(), data.size(), "library");
 }
 
 LivePointLibrary
@@ -822,6 +670,17 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
         count > (fileSize - tableOffset) / kLpl4TableEntryBytes ||
         dataOffset != tableOffset + count * kLpl4TableEntryBytes)
         throw malformed();
+    // Only the retired shared-dictionary option wrote a dictionary
+    // section or dictionary-primed records; the codec no longer
+    // decodes them.
+    auto retired = [&path]() {
+        return std::runtime_error(
+            strfmt("'%s' uses the retired shared dictionary; rebuild "
+                   "the library",
+                   path.c_str()));
+    };
+    if (dictSize)
+        throw retired();
 
     LivePointLibrary lib;
     {
@@ -830,7 +689,6 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
         lib.benchmark_ = mr.getString();
         lib.design_ = deserializeDesign(mr);
     }
-    lib.dict_.assign(h + dictOffset, h + dictOffset + dictSize);
     lib.refs_.reserve(count);
     const std::uint64_t dataBytes = fileSize - dataOffset;
     std::uint64_t running = 0;
@@ -847,11 +705,11 @@ LivePointLibrary::loadLpl4(std::shared_ptr<const LibrarySource> source,
         r.rawHash = getU64le(row + 48);
         if (rel != running || r.size > dataBytes - rel)
             throw malformed();
-        if (flags & ~static_cast<std::uint64_t>(kAllFlags))
+        if (flags == kFlagDict || flags == (kFlagDict | kFlagDelta))
+            throw retired();
+        if (flags & ~static_cast<std::uint64_t>(kFlagDelta))
             throw malformed();
         r.flags = static_cast<std::uint8_t>(flags);
-        if ((r.flags & kFlagDict) && !dictSize)
-            throw malformed();
         if (r.flags & kFlagDelta) {
             if (r.basePos >= count || r.basePos == i)
                 throw malformed();
@@ -942,8 +800,6 @@ bool
 identicalRecords(const LivePointLibrary &a, const LivePointLibrary &b)
 {
     if (a.size() != b.size())
-        return false;
-    if (a.dict_ != b.dict_)
         return false;
     std::vector<std::uint32_t> invA;
     std::vector<std::uint32_t> invB;

@@ -1,6 +1,6 @@
 /**
  * @file
- * The sharded fleet store: a directory of per-workload LPLIB3 shards
+ * The sharded fleet store: a directory of per-workload library shards
  * under one small DER index. A campaign grid over many workloads maps
  * each row to a shard and opens it lazily — inactive workloads cost
  * nothing (not even a map), and a finished workload's shard can be
@@ -11,7 +11,7 @@
  *
  *   <dir>/lpset.idx         DER index: magic, version, per shard
  *                           {name, file, points, contentHash, bytes}
- *   <dir>/<shard>.lpl       one LPLIB3 container per workload
+ *   <dir>/<shard>.lpl       one LPLIB4 container per workload
  *
  * The index carries each shard's point count and content hash, so
  * metadata consumers (campaign manifests, schedulers) never touch the

@@ -31,7 +31,7 @@
  *   footer   16 B checksum footer over everything above
  *            (appendChecksumFooter)
  *
- * Loading is corruption-strict in the LPLIB3 fuzz-suite sense: any
+ * Loading is corruption-strict in the library-container sense: any
  * truncation or byte flip anywhere in the file — header, meta,
  * index, record bodies, per-record checksums, footer — throws
  * IoError; there is no partial or best-effort load. Duplicate keys

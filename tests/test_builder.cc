@@ -19,21 +19,8 @@ namespace
 bool
 sameFileBytes(const std::string &pa, const std::string &pb)
 {
-    auto slurp = [](const std::string &p) {
-        lp::Blob out;
-        if (FILE *f = std::fopen(p.c_str(), "rb")) {
-            std::fseek(f, 0, SEEK_END);
-            out.resize(static_cast<std::size_t>(std::ftell(f)));
-            std::fseek(f, 0, SEEK_SET);
-            if (std::fread(out.data(), 1, out.size(), f) != out.size())
-                out.clear();
-            std::fclose(f);
-        }
-        return out;
-    };
-    const lp::Blob a = slurp(pa);
-    const lp::Blob b = slurp(pb);
-    return !a.empty() && a == b;
+    const lp::Blob a = lptest::slurpFile(pa);
+    return !a.empty() && a == lptest::slurpFile(pb);
 }
 
 } // namespace
@@ -99,7 +86,7 @@ main()
         CHECK_EQ(builder.stats().shards, shards);
         CHECK(builder.stats().prePassInsts > 0);
 
-        Blob scratchA, scratchB;
+        LivePointDecodeScratch scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             seqLib.decodeInto(i, scratchA, pa);
@@ -142,7 +129,7 @@ main()
         LivePointBuilder builder(bc);
         const LivePointLibrary lib = builder.build(prog, design);
         CHECK_EQ(lib.size(), design.count);
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint p;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             lib.decodeInto(i, scratch, p);
@@ -166,20 +153,18 @@ main()
         CHECK(identicalRecords(l1, l2));
     }
 
-    // --- Checkpoint economics: the dictionary+delta build obeys the
-    // same contracts — S=1 pipelined bit-identical to sequential
+    // --- Checkpoint economics: the delta build obeys the same
+    // contracts — S=1 pipelined bit-identical to sequential
     // (including on disk), and a sharded build stores different bytes
     // but decodes to exactly the points of the plain build at the
     // same shard count. ---
     {
         LivePointBuilderConfig bcCross = bcSeq;
-        bcCross.sharedDictionary = true;
         bcCross.deltaEncode = true;
         bcCross.pipelineEncode = false;
         LivePointBuilder crossSeq(bcCross);
         const LivePointLibrary crossSeqLib = crossSeq.build(prog, design);
         CHECK(crossSeqLib.deltaCount() > 0);
-        CHECK(!crossSeqLib.dictionary().empty());
         CHECK(crossSeqLib.totalCompressedBytes() <
               seqLib.totalCompressedBytes());
 
@@ -198,8 +183,7 @@ main()
 
         // Every point decodes to the sequential plain build's bytes
         // (encoding never changes content).
-        LivePointDecodeScratch scratch;
-        Blob plainScratch;
+        LivePointDecodeScratch scratch, plainScratch;
         LivePoint pc, pp;
         for (std::size_t i = 0; i < crossSeqLib.size(); ++i) {
             crossSeqLib.decodeInto(i, scratch, pc);
@@ -216,7 +200,6 @@ main()
             bcShard.buildThreads = 3;
             LivePointBuilder plain3(bcShard);
             const LivePointLibrary plainLib3 = plain3.build(prog, design);
-            bcShard.sharedDictionary = true;
             bcShard.deltaEncode = true;
             LivePointBuilder cross3a(bcShard);
             LivePointBuilder cross3b(bcShard);

@@ -2,6 +2,8 @@
 
 #include "test_util.hh"
 
+#include <algorithm>
+
 #include "codec/der.hh"
 #include "codec/zip.hh"
 
@@ -132,44 +134,47 @@ main()
         CHECK(ratio <= 0.66);
     }
 
-    // zip+dict: a dictionary sharing content with the buffer turns
-    // that content into matches — smaller than plain compression —
-    // and round-trips through both decoders. An empty dictionary is
-    // byte-identical to plain compression (back-compat contract).
+    // Preset window: a single-chunk delta stream is one token stream
+    // primed with the predecessor, so content shared with it turns
+    // into matches reaching back into the predecessor — smaller than
+    // plain compression — and round-trips through both decoders. With
+    // an empty predecessor the chunk stream is byte-identical to the
+    // plain stream (the window primitive adds nothing unprimed).
     {
-        Rng rng(8, "zip-dict");
-        Blob dict(24 * 1024);
-        for (auto &b : dict)
+        Rng rng(8, "zip-window");
+        Blob prev(24 * 1024);
+        for (auto &b : prev)
             b = static_cast<std::uint8_t>(rng.next());
         Blob data;
-        // Recurring slices of the dictionary with incompressible glue.
+        // Recurring slices of the predecessor with incompressible glue,
+        // kept inside one 32KB delta chunk.
         for (int rep = 0; rep < 40; ++rep) {
-            const std::size_t at = rng.nextBounded(dict.size() - 512);
-            data.insert(data.end(), dict.begin() + at,
-                        dict.begin() + at + 512);
+            const std::size_t at = rng.nextBounded(prev.size() - 512);
+            data.insert(data.end(), prev.begin() + at,
+                        prev.begin() + at + 512);
             for (int j = 0; j < 40; ++j)
                 data.push_back(static_cast<std::uint8_t>(rng.next()));
         }
+        CHECK(data.size() <= 32 * 1024);
         const Blob plain = zipCompress(data);
-        const Blob primed = zipCompress(data, ByteSpan(dict));
+        const Blob primed = zipCompressDelta(data, ByteSpan(prev));
         CHECK(primed.size() < plain.size());
         Blob out;
-        zipDecompressInto(primed.data(), primed.size(), out,
-                          ByteSpan(dict));
+        zipDecompressDeltaInto(primed.data(), primed.size(),
+                               ByteSpan(prev), out);
         CHECK(out == data);
-        zipDecompressReferenceInto(primed.data(), primed.size(), out,
-                                   ByteSpan(dict));
+        zipDecompressDeltaReferenceInto(primed.data(), primed.size(),
+                                        ByteSpan(prev), out);
         CHECK(out == data);
-        CHECK(zipCompress(data, ByteSpan()) == plain);
-        // Determinism with a dictionary, and oversized-dictionary
-        // clamping: only the window-reachable tail can matter.
-        CHECK(zipCompress(data, ByteSpan(dict)) == primed);
-        Blob big(100 * 1024);
-        for (auto &b : big)
-            b = static_cast<std::uint8_t>(rng.next());
-        const Blob z2 = zipCompress(data, ByteSpan(big));
-        zipDecompressInto(z2.data(), z2.size(), out, ByteSpan(big));
-        CHECK(out == data);
+        CHECK(zipCompressDelta(data, ByteSpan(prev)) == primed);
+        // Unprimed: [LEB raw size][LEB 1 chunk][LEB chunk size] then
+        // exactly the plain stream.
+        const Blob unprimed = zipCompressDelta(data, ByteSpan());
+        CHECK(unprimed.size() > plain.size());
+        const std::size_t head = unprimed.size() - plain.size();
+        CHECK(std::equal(plain.begin(), plain.end(),
+                         unprimed.begin() +
+                             static_cast<std::ptrdiff_t>(head)));
     }
 
     // zip+delta: a buffer delta-compressed against a near-identical
@@ -212,31 +217,6 @@ main()
         zipDecompressDeltaInto(e2.data(), e2.size(),
                                ByteSpan(shortPrev), out);
         CHECK(out == data);
-    }
-
-    // zipTrainDictionary: deterministic, size-capped, and effective —
-    // a dictionary trained on sibling payloads beats plain
-    // compression on a payload they resemble.
-    {
-        const TinyLib t = buildTinyLibrary("codec-dict", 120'000, 3, 8);
-        std::vector<Blob> raws;
-        for (std::size_t i = 0; i + 1 < t.lib.size(); ++i)
-            raws.push_back(t.lib.get(i).serialize());
-        std::vector<ByteSpan> samples;
-        for (const Blob &r : raws)
-            samples.emplace_back(r);
-        const Blob dict = zipTrainDictionary(samples, 32 * 1024);
-        CHECK(dict.size() <= 32 * 1024);
-        CHECK(!dict.empty());
-        CHECK(zipTrainDictionary(samples, 32 * 1024) == dict);
-        const Blob target = t.lib.get(t.lib.size() - 1).serialize();
-        const Blob plain = zipCompress(target);
-        const Blob primed = zipCompress(target, ByteSpan(dict));
-        CHECK(primed.size() < plain.size());
-        Blob out;
-        zipDecompressInto(primed.data(), primed.size(), out,
-                          ByteSpan(dict));
-        CHECK(out == target);
     }
 
     // der: nested sequences with every value type.

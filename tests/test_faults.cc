@@ -2,8 +2,10 @@
  * Durability and fault injection: the failpoint framework's trigger
  * semantics, atomic-write publication (temp cleanup, checksum
  * footers), transient-errno retry loops, LibrarySet torn-index
- * recovery and shard quarantine, the campaign manifest ledger's
- * truncation/corruption recovery at many byte offsets, and a
+ * recovery and shard quarantine, a byte-flip sweep over a whole saved
+ * library (every flip rejected or harmless, never a different CPI),
+ * the campaign manifest ledger's truncation/corruption recovery at
+ * many byte offsets, and a
  * fork-based crash matrix: campaigns killed at every barrier and
  * mid-append failpoint must resume bit-identical to the
  * uninterrupted run.
@@ -310,6 +312,54 @@ main()
         std::filesystem::remove(path);
     }
 
+    // ---- Library byte-flip sweep: no silent wrong answer -----------
+    // Every record the library writes carries a raw checksum, so a
+    // flipped byte anywhere in a saved library — header, meta, table
+    // or record — must be rejected (at load or at decode) or leave
+    // the replayed estimate bit-identical; never a different CPI.
+    {
+        const TinyLib tf = buildTinyLibrary("flt-flip", 60'000, 31, 6);
+        const std::string path = "faults-flip.lpl";
+        tf.lib.save(path);
+        const Blob good = readBytes(path);
+        const LivePointRunOptions ropt;
+        const LivePointRunResult ref =
+            runLivePoints(tf.prog, tf.lib, baseConfig(), ropt);
+        auto bits = [](double v) {
+            std::uint64_t b = 0;
+            std::memcpy(&b, &v, sizeof(b));
+            return b;
+        };
+        const std::size_t stride =
+            std::max<std::size_t>(1, good.size() / 600);
+        std::size_t rejected = 0;
+        std::size_t changed = 0;
+        for (std::size_t at = 0; at < good.size(); at += stride) {
+            Blob bad = good;
+            bad[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+            writeBytes(path, bad.data(), bad.size());
+            try {
+                const LivePointLibrary lib =
+                    LivePointLibrary::load(path, StorageBackend::buffer);
+                const LivePointRunResult r =
+                    runLivePoints(tf.prog, lib, baseConfig(), ropt);
+                if (r.processed != ref.processed ||
+                    bits(r.cpi()) != bits(ref.cpi())) {
+                    ++changed;
+                    std::fprintf(stderr,
+                                 "flip at byte %zu of %zu changed the "
+                                 "replayed CPI\n",
+                                 at, good.size());
+                }
+            } catch (const std::exception &) {
+                ++rejected;
+            }
+        }
+        CHECK_EQ(changed, 0u);
+        CHECK(rejected > 0);
+        std::filesystem::remove(path);
+    }
+
     // ---- LibrarySet: torn-index recovery and quarantine ------------
     const std::string setDir = "faults-set";
     std::filesystem::remove_all(setDir);
@@ -500,6 +550,28 @@ main()
             }
             if (lpTestFailures)
                 break;
+        }
+
+        // A bare DER manifest image (the pre-ledger single-image
+        // layout) is refused, not converted: lift the first record's
+        // image out of the ledger and write it alone.
+        {
+            const std::size_t len =
+                static_cast<std::size_t>(u64At(ledger, 16 + 8));
+            CHECK(16 + 24 + len <= ledger.size());
+            const Blob image(ledger.begin() + 16 + 24,
+                             ledger.begin() + static_cast<std::ptrdiff_t>(
+                                                  16 + 24 + len));
+            CHECK_EQ(image[0], 0x30); // DER SEQUENCE
+            writeBytes(ledgerPath, image.data(), image.size());
+            std::string msg;
+            try {
+                runWithManifest();
+            } catch (const std::exception &e) {
+                msg = e.what();
+            }
+            CHECK(msg.find("not a campaign manifest") !=
+                  std::string::npos);
         }
         std::filesystem::remove(ledgerPath);
     }

@@ -296,7 +296,7 @@ zeroAllocSteadyState()
     // Single-configuration path.
     {
         ReplayContext ctx(t.prog, lptest::baseConfig());
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         std::vector<WindowResult> warm(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -321,7 +321,7 @@ zeroAllocSteadyState()
                           std::vector<CoreConfig>{
                               lptest::baseConfig(),
                               lptest::slowMemConfig()});
-        Blob scratch;
+        LivePointDecodeScratch scratch;
         LivePoint point;
         for (std::size_t i = 0; i < n; ++i) {
             t.lib.decodeInto(i, scratch, point);

@@ -3,7 +3,10 @@
  * records, deterministic shuffling, breakdown accounting — and
  * container robustness: every header and record-table field of a
  * saved library corrupted in place, and the file truncated at every
- * section boundary, must produce a clean load error, never a crash.
+ * section boundary, must produce a clean load or decode error, never
+ * a crash or a silently different point. save() writes LPLIB4 only;
+ * the read-only LPLIB3/LPLIB2 loaders are exercised through files the
+ * test-only legacy emitter (test_util.hh) derives from an LPLIB4 save.
  * Every load-facing check runs through each storage backend (owned
  * buffer and mmap): the backends must be indistinguishable except in
  * how the bytes are held. Also the sharded fleet store (LibrarySet):
@@ -22,40 +25,6 @@
 #include "core/library.hh"
 #include "core/library_set.hh"
 #include "uarch/config.hh"
-
-namespace
-{
-
-/** Read a whole file. */
-lp::Blob
-slurpFile(const std::string &path)
-{
-    lp::Blob out;
-    if (FILE *f = std::fopen(path.c_str(), "rb")) {
-        std::fseek(f, 0, SEEK_END);
-        out.resize(static_cast<std::size_t>(std::ftell(f)));
-        std::fseek(f, 0, SEEK_SET);
-        if (!out.empty() &&
-            std::fread(out.data(), 1, out.size(), f) != out.size())
-            out.clear();
-        std::fclose(f);
-    }
-    return out;
-}
-
-/** Overwrite a whole file. */
-void
-spewFile(const std::string &path, const lp::Blob &data)
-{
-    FILE *f = std::fopen(path.c_str(), "wb");
-    CHECK(f != nullptr);
-    if (!data.empty())
-        CHECK(std::fwrite(data.data(), 1, data.size(), f) ==
-              data.size());
-    std::fclose(f);
-}
-
-} // namespace
 
 int
 main()
@@ -121,7 +90,7 @@ main()
         CHECK(b.bpred > 0);
     }
 
-    // Save -> load -> identical content (LPLIB3, the default).
+    // Save -> load -> identical content (LPLIB4, the only writer).
     const std::string path = "libtest-roundtrip.lpl";
     lib.save(path);
     const LivePointLibrary loaded = LivePointLibrary::load(path);
@@ -131,6 +100,10 @@ main()
     CHECK_EQ(loaded.totalCompressedBytes(), lib.totalCompressedBytes());
     CHECK_EQ(loaded.totalUncompressedBytes(),
              lib.totalUncompressedBytes());
+    CHECK(std::memcmp(slurpFile(path).data(), "LPLIB4\n", 8) == 0);
+    // The container switch leaves a plain library's content hash (the
+    // manifest/result-store key) unchanged: no flags, no checksum.
+    CHECK_EQ(loaded.contentHash(), lib.contentHash());
     for (std::size_t i = 0; i < lib.size(); ++i) {
         CHECK_EQ(loaded.compressedSize(i), lib.compressedSize(i));
         CHECK_EQ(loaded.windowIndex(i), lib.windowIndex(i));
@@ -138,13 +111,16 @@ main()
     }
 
     // Backend matrix: the same container through every backend (and
-    // both formats) must be record-identical, hash-identical, and
-    // decode-identical — only the self-description differs.
+    // every readable format) must be record-identical, hash-identical,
+    // and decode-identical — only the self-description differs.
     {
         const std::string p2fmt = "libtest-backends.lpl2";
-        lib.save(p2fmt, LivePointLibrary::Format::lpl2);
+        const std::string p3fmt = "libtest-backends.lpl3";
+        writeLegacyLibrary(path, p2fmt, LegacyFormat::lpl2);
+        writeLegacyLibrary(path, p3fmt, LegacyFormat::lpl3);
+        CHECK(std::memcmp(slurpFile(p3fmt).data(), "LPLIB3\n", 8) == 0);
         for (const StorageBackend backend : backends) {
-            for (const std::string &file : {path, p2fmt}) {
+            for (const std::string &file : {path, p3fmt, p2fmt}) {
                 const LivePointLibrary b =
                     LivePointLibrary::load(file, backend);
                 CHECK(b.storageKind() ==
@@ -163,7 +139,7 @@ main()
                 CHECK_EQ(b.contentHash(), lib.contentHash());
                 for (std::size_t i = 0; i < lib.size(); ++i)
                     CHECK_EQ(b.rawSize(i), lib.rawSize(i));
-                Blob scratch;
+                LivePointDecodeScratch scratch;
                 LivePoint pt;
                 for (const std::size_t i :
                      {std::size_t{0}, lib.size() / 2,
@@ -182,22 +158,21 @@ main()
         CHECK_EQ(a.mappedBacking(),
                  mmapSupported() && !mmapDisabledByEnv());
         std::remove(p2fmt.c_str());
+        std::remove(p3fmt.c_str());
     }
-    std::remove(path.c_str());
 
-    // Format compatibility: a library written by the legacy LPLIB2
-    // writer loads through the same magic-dispatched load() with
-    // point-for-point equality.
-    {
-        const std::string p2 = "libtest-lpl2.lpl";
-        lib.save(p2, LivePointLibrary::Format::lpl2);
-        const LivePointLibrary old = LivePointLibrary::load(p2);
+    // Format compatibility: LPLIB2 and LPLIB3 files load through the
+    // same magic-dispatched load() with point-for-point equality.
+    for (const LegacyFormat fmt : {LegacyFormat::lpl2, LegacyFormat::lpl3}) {
+        const std::string pold = "libtest-legacy.lpl";
+        writeLegacyLibrary(path, pold, fmt);
+        const LivePointLibrary old = LivePointLibrary::load(pold);
         CHECK(old.design() == lib.design());
         CHECK(old.benchmark() == lib.benchmark());
         CHECK_EQ(old.size(), lib.size());
         CHECK_EQ(old.totalCompressedBytes(),
                  lib.totalCompressedBytes());
-        Blob scratchA, scratchB;
+        LivePointDecodeScratch scratchA, scratchB;
         LivePoint pa, pb;
         for (std::size_t i = 0; i < lib.size(); ++i) {
             CHECK_EQ(old.compressedSize(i), lib.compressedSize(i));
@@ -206,8 +181,9 @@ main()
             lib.decodeInto(i, scratchB, pb);
             CHECK(pa.serialize() == pb.serialize());
         }
-        std::remove(p2.c_str());
+        std::remove(pold.c_str());
     }
+    std::remove(path.c_str());
 
     // Zero-copy spans: a loaded library's records point into one
     // backing buffer, in stored order, and survive a library move.
@@ -237,107 +213,159 @@ main()
             LivePointLibrary::load("libtest-does-not-exist.lpl"));
     }
 
-    // LPLIB3 robustness: corrupting any header field or any
+    // Container robustness, for the written format (LPLIB4) and the
+    // read-only LPLIB3 layout: corrupting any header field or any
     // record-table field, or truncating at any section boundary, must
-    // produce a clean load error — identically through every storage
-    // backend (the checks live above the backend, so neither path may
-    // diverge).
-    for (const StorageBackend backend : backends) {
-        const std::string pbad = "libtest-corrupt.lpl";
-        lib.save(pbad);
-        const Blob good = slurpFile(pbad);
-        CHECK(good.size() > 64 + lib.size() * 32);
-        CHECK((LivePointLibrary::load(pbad, backend), true));
+    // produce a clean load error, or — for table fields that are
+    // accounting rather than layout — a decode error for that record;
+    // identically through every storage backend (the checks live
+    // above the backend, so neither path may diverge).
+    struct Layout
+    {
+        bool legacy;
+        std::size_t headerBytes;
+        std::size_t rowBytes;
+        std::size_t tableField; //!< header offset of tableOffset
+        std::size_t dataField;  //!< header offset of dataOffset
+        std::vector<std::size_t> loadFields;   //!< row fields: load throws
+        std::vector<std::size_t> decodeFields; //!< row fields: decode throws
+    };
+    // LPLIB4 rows: offset, size, rawSize, index, flags, base, rawHash.
+    // A flipped flag bit turns the record into a retired dictionary
+    // record or an unknown encoding; a plain record's base must stay
+    // "none"; a flipped checksum fails verification at decode.
+    const Layout layouts[] = {
+        {false, 80, 56, 56, 64, {0, 8, 32, 40}, {16, 24, 48}},
+        {true, 64, 32, 40, 48, {0, 8}, {16, 24}},
+    };
+    for (const Layout &lay : layouts) {
+        for (const StorageBackend backend : backends) {
+            const std::string pbad = "libtest-corrupt.lpl";
+            lib.save(pbad);
+            if (lay.legacy) {
+                const std::string p4 = "libtest-corrupt.lpl4";
+                std::filesystem::rename(pbad, p4);
+                writeLegacyLibrary(p4, pbad, LegacyFormat::lpl3);
+                std::remove(p4.c_str());
+            }
+            const Blob good = slurpFile(pbad);
+            CHECK(good.size() > lay.headerBytes + lib.size() * lay.rowBytes);
+            CHECK((LivePointLibrary::load(pbad, backend), true));
 
-        // Header fields at offsets 8..56: version, count, metaOffset,
-        // metaSize, tableOffset, dataOffset, fileSize. Each corrupted
-        // two ways: off-by-one and absurd.
-        for (std::size_t off = 8; off < 64; off += 8) {
-            for (const std::uint8_t how : {0, 1}) {
+            // Header fields after the magic, each corrupted two ways:
+            // off-by-one and absurd.
+            for (std::size_t off = 8; off < lay.headerBytes; off += 8) {
+                for (const std::uint8_t how : {0, 1}) {
+                    Blob bad = good;
+                    if (how == 0)
+                        bad[off] ^= 0x01;
+                    else
+                        for (std::size_t j = 0; j < 8; ++j)
+                            bad[off + j] = 0xff;
+                    spewFile(pbad, bad);
+                    CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                }
+            }
+            // Magic corruption falls through to the LPLIB2 parser,
+            // which must reject it too.
+            {
                 Blob bad = good;
-                if (how == 0)
-                    bad[off] ^= 0x01;
-                else
-                    for (std::size_t j = 0; j < 8; ++j)
-                        bad[off + j] = 0xff;
+                bad[0] ^= 0xff;
                 spewFile(pbad, bad);
                 CHECK_THROWS(LivePointLibrary::load(pbad, backend));
             }
-        }
-        // Magic corruption falls through to the LPLIB2 parser, which
-        // must reject it too.
-        {
-            Blob bad = good;
-            bad[0] ^= 0xff;
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
-        }
 
-        // Record-table fields: offset / size / rawSize / index of the
-        // first, a middle, and the last record. Offset and size are
-        // layout (any bit flip must be caught); rawSize and index are
-        // accounting, so the *detectable* corruption is layout-scale;
-        // flip them together with a size so the table stays
-        // inconsistent.
-        const std::size_t tableAt = [&good]() {
-            std::size_t v = 0;
-            for (unsigned j = 0; j < 8; ++j)
-                v |= static_cast<std::size_t>(good[40 + j]) << (8 * j);
-            return v;
-        }();
-        for (const std::size_t rec :
-             {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
-            for (const std::size_t field : {0, 8}) {
-                Blob bad = good;
-                bad[tableAt + rec * 32 + field] ^= 0x01;
+            // Record-table fields of the first, a middle, and the last
+            // record. Layout fields must fail the load; accounting
+            // fields still load, but decoding the record must fail the
+            // cross-check instead of returning a silently wrong point.
+            const std::size_t tableAt =
+                static_cast<std::size_t>(u64At(good, lay.tableField));
+            for (const std::size_t rec :
+                 {std::size_t{0}, lib.size() / 2, lib.size() - 1}) {
+                const std::size_t row = tableAt + rec * lay.rowBytes;
+                for (const std::size_t field : lay.loadFields) {
+                    Blob bad = good;
+                    bad[row + field] ^= 0x01;
+                    spewFile(pbad, bad);
+                    CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+                }
+                for (const std::size_t field : lay.decodeFields) {
+                    Blob bad = good;
+                    bad[row + field] ^= 0x01;
+                    spewFile(pbad, bad);
+                    const LivePointLibrary damaged =
+                        LivePointLibrary::load(pbad, backend);
+                    CHECK_THROWS(damaged.get(rec));
+                }
+            }
+
+            // Truncation at every section boundary (and just around
+            // them), plus an appended byte: the size bookkeeping must
+            // catch each.
+            const std::size_t dataAt =
+                static_cast<std::size_t>(u64At(good, lay.dataField));
+            for (const std::size_t cut :
+                 {std::size_t{0}, std::size_t{7}, lay.headerBytes - 1,
+                  lay.headerBytes, tableAt - 1, tableAt,
+                  tableAt + lay.rowBytes, dataAt - 1, dataAt, dataAt + 1,
+                  (dataAt + good.size()) / 2, good.size() - 1}) {
+                Blob bad(good.begin(),
+                         good.begin() + static_cast<std::ptrdiff_t>(cut));
                 spewFile(pbad, bad);
                 CHECK_THROWS(LivePointLibrary::load(pbad, backend));
             }
-            // rawSize and index are accounting, not layout: the file
-            // still loads, but decoding the record must fail the
-            // cross-check instead of returning a silently wrong
-            // point.
-            for (const std::size_t field : {16, 24}) {
+            {
                 Blob bad = good;
-                bad[tableAt + rec * 32 + field] ^= 0x01;
+                bad.push_back(0);
                 spewFile(pbad, bad);
-                const LivePointLibrary damaged =
-                    LivePointLibrary::load(pbad, backend);
-                CHECK_THROWS(damaged.get(rec));
+                CHECK_THROWS(LivePointLibrary::load(pbad, backend));
             }
-        }
 
-        // Truncation at every section boundary (and just around
-        // them), plus an appended byte: the size bookkeeping must
-        // catch each.
-        const std::size_t dataAt = [&good]() {
-            std::size_t v = 0;
-            for (unsigned j = 0; j < 8; ++j)
-                v |= static_cast<std::size_t>(good[48 + j]) << (8 * j);
-            return v;
-        }();
-        for (const std::size_t cut :
-             {std::size_t{0}, std::size_t{7}, std::size_t{63},
-              std::size_t{64}, tableAt - 1, tableAt, tableAt + 32,
-              dataAt - 1, dataAt, dataAt + 1,
-              (dataAt + good.size()) / 2, good.size() - 1}) {
-            Blob bad(good.begin(),
-                     good.begin() + static_cast<std::ptrdiff_t>(cut));
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            // The pristine bytes still load after all of the above
+            // (the corruption harness itself is sound).
+            spewFile(pbad, good);
+            CHECK((LivePointLibrary::load(pbad, backend), true));
+            std::remove(pbad.c_str());
         }
-        {
+    }
+
+    // Files written with the retired shared dictionary — a non-empty
+    // dictionary section, or a dictionary-flagged record — are
+    // refused at load with a message that says to rebuild.
+    {
+        const std::string p4 = "libtest-retired.lpl";
+        lib.save(p4);
+        const Blob good = slurpFile(p4);
+        auto refusal = [&p4](const Blob &bad) {
+            spewFile(p4, bad);
+            try {
+                (void)LivePointLibrary::load(p4);
+            } catch (const std::exception &e) {
+                return std::string(e.what());
+            }
+            return std::string();
+        };
+        const std::size_t tableAt = static_cast<std::size_t>(u64At(good, 56));
+        for (const std::uint8_t flags : {1, 3}) {
             Blob bad = good;
-            bad.push_back(0);
-            spewFile(pbad, bad);
-            CHECK_THROWS(LivePointLibrary::load(pbad, backend));
+            bad[tableAt + 56 + 32] = flags;
+            CHECK(refusal(bad).find("rebuild") != std::string::npos);
         }
-
-        // The pristine bytes still load after all of the above (the
-        // corruption harness itself is sound).
-        spewFile(pbad, good);
-        CHECK((LivePointLibrary::load(pbad, backend), true));
-        std::remove(pbad.c_str());
+        // Splice a 16-byte dictionary section in after the meta blob
+        // and shift the table and data offsets past it.
+        Blob bad(good.begin(),
+                 good.begin() + static_cast<std::ptrdiff_t>(tableAt));
+        bad.insert(bad.end(), 16, 0x5a);
+        bad.insert(bad.end(),
+                   good.begin() + static_cast<std::ptrdiff_t>(tableAt),
+                   good.end());
+        putU64At(bad, 48, 16);
+        putU64At(bad, 56, tableAt + 16);
+        putU64At(bad, 64, u64At(good, 64) + 16);
+        putU64At(bad, 72, u64At(good, 72) + 16);
+        CHECK(refusal(bad).find("rebuild") != std::string::npos);
+        std::remove(p4.c_str());
     }
 
     // LPLIB2 robustness: magic corruption and truncation at every
@@ -345,7 +373,10 @@ main()
     // every backend.
     for (const StorageBackend backend : backends) {
         const std::string pbad = "libtest-corrupt2.lpl";
-        lib.save(pbad, LivePointLibrary::Format::lpl2);
+        const std::string p4 = "libtest-corrupt2.lpl4";
+        lib.save(p4);
+        writeLegacyLibrary(p4, pbad, LegacyFormat::lpl2);
+        std::remove(p4.c_str());
         const Blob good = slurpFile(pbad);
         {
             Blob bad = good;
@@ -363,19 +394,15 @@ main()
         std::remove(pbad.c_str());
     }
 
-    // Checkpoint economics: a shared-dictionary + delta library
-    // (LPLIB4) decodes point-for-point identically to the plain
-    // build, stores fewer bytes, and survives save/load/shuffle
-    // through every backend with strict corruption detection.
+    // Checkpoint economics: a delta library decodes point-for-point
+    // identically to the plain build, stores fewer bytes, and
+    // survives save/load/shuffle through every backend with strict
+    // corruption detection.
     {
         TinyLib tc = buildTinyLibrary(
             "libtest", 400'000, 5, 40, {cfg}, 0,
-            [](LivePointBuilderConfig &bc) {
-                bc.sharedDictionary = true;
-                bc.deltaEncode = true;
-            });
+            [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
         LivePointLibrary &clib = tc.lib;
-        CHECK(!clib.dictionary().empty());
         CHECK(clib.deltaCount() > 0);
         CHECK(clib.deltaCount() < clib.size()); // keyframes remain
         CHECK(clib.totalCompressedBytes() < lib.totalCompressedBytes());
@@ -405,24 +432,11 @@ main()
             }
         }
 
-        // autoSelect writes LPLIB4 (a plain library stays LPLIB3);
-        // the legacy formats cannot represent dictionary/delta.
+        // The legacy layouts cannot represent delta records.
         const std::string p4 = "libtest-lpl4.lpl";
         clib.save(p4);
-        {
-            const Blob head = slurpFile(p4);
-            CHECK(head.size() > 80);
-            CHECK(std::memcmp(head.data(), "LPLIB4\n", 7) == 0);
-            const std::string p3 = "libtest-magic3.lpl";
-            lib.save(p3);
-            const Blob plainHead = slurpFile(p3);
-            CHECK(std::memcmp(plainHead.data(), "LPLIB3\n", 7) == 0);
-            std::remove(p3.c_str());
-        }
-        CHECK_THROWS(clib.save("libtest-nope.lpl",
-                               LivePointLibrary::Format::lpl3));
-        CHECK_THROWS(clib.save("libtest-nope.lpl",
-                               LivePointLibrary::Format::lpl2));
+        CHECK_THROWS(writeLegacyLibrary(p4, "libtest-nope.lpl",
+                                        LegacyFormat::lpl3));
 
         for (const StorageBackend backend : backends) {
             const LivePointLibrary b =
@@ -430,7 +444,6 @@ main()
             CHECK(identicalRecords(b, clib));
             CHECK_EQ(b.contentHash(), clib.contentHash());
             CHECK_EQ(b.deltaCount(), clib.deltaCount());
-            CHECK(b.dictionary() == clib.dictionary());
             LivePointDecodeScratch scratch;
             LivePoint p;
             for (std::size_t i = 0; i < b.size(); ++i) {
@@ -470,25 +483,19 @@ main()
             std::remove(psh.c_str());
         }
 
-        // Corruption strictness: a flipped byte in the dictionary, a
-        // delta record's stream, or a record's table metadata must be
-        // rejected at load or at decode — never a silently different
-        // point (every dict/delta record carries a raw checksum).
+        // Corruption strictness: a flipped byte in a delta record's
+        // stream or in its table metadata must be rejected at load or
+        // at decode — never a silently different point (every record
+        // carries a raw checksum).
         {
             const Blob good = slurpFile(p4);
-            auto u64At = [&good](std::size_t off) {
-                std::size_t v = 0;
-                for (unsigned j = 0; j < 8; ++j)
-                    v |= static_cast<std::size_t>(good[off + j])
-                         << (8 * j);
-                return v;
+            auto at = [&good](std::size_t off) {
+                return static_cast<std::size_t>(u64At(good, off));
             };
-            const std::size_t count = u64At(16);
-            const std::size_t dictAt = u64At(40);
-            const std::size_t dictSize = u64At(48);
-            const std::size_t tableAt = u64At(56);
-            const std::size_t dataAt = u64At(64);
-            CHECK(dictSize > 0);
+            const std::size_t count = at(16);
+            const std::size_t tableAt = at(56);
+            const std::size_t dataAt = at(64);
+            CHECK_EQ(at(48), 0u); // no dictionary section
             CHECK_EQ(count, clib.size());
             const std::string pbad = "libtest-lpl4-bad.lpl";
 
@@ -524,16 +531,6 @@ main()
                 }
             };
 
-            // The dictionary section (a single flipped byte is only
-            // detectable if some record's match reads it, so corrupt
-            // all of it — any dictionary-primed record then fails its
-            // raw checksum).
-            {
-                Blob bad = good;
-                for (std::size_t j = 0; j < dictSize; ++j)
-                    bad[dictAt + j] ^= 0x5a;
-                mustFail(bad);
-            }
             // A delta record's compressed stream.
             {
                 std::size_t deltaRow = count;
@@ -544,10 +541,8 @@ main()
                         break;
                     }
                 CHECK(deltaRow < count);
-                const std::size_t off =
-                    u64At(tableAt + deltaRow * 56);
-                const std::size_t sz =
-                    u64At(tableAt + deltaRow * 56 + 8);
+                const std::size_t off = at(tableAt + deltaRow * 56);
+                const std::size_t sz = at(tableAt + deltaRow * 56 + 8);
                 Blob bad = good;
                 bad[dataAt + off + sz / 2] ^= 0x01;
                 mustFail(bad);
@@ -564,7 +559,7 @@ main()
             }
             // Truncation at the section boundaries.
             for (const std::size_t cut :
-                 {std::size_t{40}, dictAt, tableAt, dataAt,
+                 {std::size_t{40}, tableAt, dataAt,
                   good.size() - 1}) {
                 const Blob bad(
                     good.begin(),
@@ -584,28 +579,6 @@ main()
         }
         std::remove(p4.c_str());
 
-        // Dictionary-only and delta-only variants round-trip too.
-        for (const int mode : {0, 1}) {
-            TinyLib tv = buildTinyLibrary(
-                "libtest", 400'000, 5, 40, {cfg}, 0,
-                [mode](LivePointBuilderConfig &bc) {
-                    bc.sharedDictionary = mode == 0;
-                    bc.deltaEncode = mode == 1;
-                });
-            CHECK_EQ(tv.lib.dictionary().empty(), mode == 1);
-            CHECK_EQ(tv.lib.deltaCount() > 0, mode == 1);
-            const std::string pv = "libtest-lpl4-variant.lpl";
-            tv.lib.save(pv);
-            const LivePointLibrary b = LivePointLibrary::load(pv);
-            CHECK(identicalRecords(b, tv.lib));
-            LivePointDecodeScratch scratch;
-            LivePoint p;
-            for (std::size_t i = 0; i < b.size(); ++i) {
-                b.decodeInto(i, scratch, p);
-                CHECK(p.serialize() == lib.get(i).serialize());
-            }
-            std::remove(pv.c_str());
-        }
     }
 
     // Shuffling is a seed-deterministic permutation.
@@ -760,20 +733,16 @@ main()
             CHECK((LibrarySet::open(dir), true));
         }
 
-        // An LPLIB4 (dictionary+delta) shard flows through the fleet
-        // store unchanged: save picks the format, open dispatches on
-        // the magic, the index hash still matches, and the decoded
-        // points equal the plain build of the same benchmark.
+        // A delta shard flows through the fleet store unchanged: the
+        // index hash still matches, and the decoded points equal the
+        // plain build of the same benchmark.
         {
             const std::string dir4 = "libtest-set-lpl4";
             std::filesystem::remove_all(dir4);
             const TinyLib cross = buildTinyLibrary(
                 "libtest-b", 300'000, 9, 24,
                 {CoreConfig::eightWay()}, 0,
-                [](LivePointBuilderConfig &bc) {
-                    bc.sharedDictionary = true;
-                    bc.deltaEncode = true;
-                });
+                [](LivePointBuilderConfig &bc) { bc.deltaEncode = true; });
             CHECK(cross.lib.deltaCount() > 0);
             {
                 LibrarySetWriter writer(dir4);
@@ -784,8 +753,7 @@ main()
             const LivePointLibrary &s4 = set4.shard(0);
             CHECK(identicalRecords(s4, cross.lib));
             CHECK(s4.deltaCount() > 0);
-            LivePointDecodeScratch sa;
-            Blob sb;
+            LivePointDecodeScratch sa, sb;
             LivePoint pa, pb;
             for (std::size_t i = 0; i < s4.size(); ++i) {
                 s4.decodeInto(i, sa, pa);

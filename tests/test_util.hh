@@ -13,12 +13,14 @@
 #include "harness.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "codec/der.hh"
 #include "core/builder.hh"
 #include "core/library.hh"
 #include "uarch/config.hh"
@@ -160,6 +162,144 @@ slowMemConfig()
     c.mem.memLatency = 400;
     c.mem.l2Latency = 40;
     return c;
+}
+
+/** Read a whole file (empty if it cannot be read). */
+inline lp::Blob
+slurpFile(const std::string &path)
+{
+    lp::Blob out;
+    if (FILE *f = std::fopen(path.c_str(), "rb")) {
+        std::fseek(f, 0, SEEK_END);
+        out.resize(static_cast<std::size_t>(std::ftell(f)));
+        std::fseek(f, 0, SEEK_SET);
+        if (!out.empty() &&
+            std::fread(out.data(), 1, out.size(), f) != out.size())
+            out.clear();
+        std::fclose(f);
+    }
+    return out;
+}
+
+/** Overwrite a whole file. */
+inline void
+spewFile(const std::string &path, const lp::Blob &data)
+{
+    FILE *f = std::fopen(path.c_str(), "wb");
+    CHECK(f != nullptr);
+    if (!f)
+        return;
+    if (!data.empty())
+        CHECK(std::fwrite(data.data(), 1, data.size(), f) ==
+              data.size());
+    std::fclose(f);
+}
+
+/** Little-endian u64 at @p off of @p b. */
+inline std::uint64_t
+u64At(const lp::Blob &b, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (unsigned j = 0; j < 8; ++j)
+        v |= static_cast<std::uint64_t>(b[off + j]) << (8 * j);
+    return v;
+}
+
+/** Store @p v little-endian at @p off of @p b. */
+inline void
+putU64At(lp::Blob &b, std::size_t off, std::uint64_t v)
+{
+    for (unsigned j = 0; j < 8; ++j)
+        b[off + j] = static_cast<std::uint8_t>(v >> (8 * j));
+}
+
+/** The container layouts the library reads but no longer writes. */
+enum class LegacyFormat
+{
+    lpl2, //!< one DER sequence: magic, meta, (rawSize, index, bytes)*
+    lpl3  //!< 64-byte header, meta, 32-byte rows, records
+};
+
+/**
+ * Test-only legacy emitter: rewrite the plain LPLIB4 file at @p src
+ * into @p fmt at @p dst — the same meta, records and stored order,
+ * without the flags/base/checksum columns. The legacy loaders keep
+ * their coverage (backend matrix, bit-identical decode, field
+ * corruption) through files made this way. A delta record, which
+ * neither legacy layout can represent, throws.
+ */
+inline void
+writeLegacyLibrary(const std::string &src, const std::string &dst,
+                   LegacyFormat fmt)
+{
+    const lp::Blob in = slurpFile(src);
+    if (in.size() < 80 || std::memcmp(in.data(), "LPLIB4\n", 8) != 0)
+        throw std::runtime_error("legacy emitter: not an LPLIB4 file");
+    const std::uint64_t count = u64At(in, 16);
+    const std::uint64_t metaAt = u64At(in, 24);
+    const std::uint64_t metaSize = u64At(in, 32);
+    const std::uint64_t tableAt = u64At(in, 56);
+    const std::uint64_t dataAt = u64At(in, 64);
+    struct Row
+    {
+        std::uint64_t rel, size, rawSize, index;
+    };
+    std::vector<Row> rows;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t r = static_cast<std::size_t>(tableAt + i * 56);
+        if (u64At(in, r + 32) != 0)
+            throw std::runtime_error(
+                "legacy emitter: encoded records have no legacy form");
+        rows.push_back({u64At(in, r), u64At(in, r + 8),
+                        u64At(in, r + 16), u64At(in, r + 24)});
+    }
+    const std::uint8_t *meta = in.data() + metaAt;
+    const std::uint8_t *data = in.data() + dataAt;
+
+    lp::Blob out;
+    if (fmt == LegacyFormat::lpl2) {
+        lp::DerReader mr(lp::ByteSpan(meta, metaSize));
+        const std::string bench = mr.getString();
+        lp::DerReader ds = mr.getSequence();
+        lp::DerWriter w;
+        w.beginSequence();
+        w.putUint(0x4c504c494232ull); // "LPLIB2"
+        w.putString(bench);
+        w.beginSequence();
+        for (int k = 0; k < 4; ++k) // benchLength, count, measure, warm
+            w.putUint(ds.getUint());
+        w.endSequence();
+        w.putUint(count);
+        for (const Row &r : rows) {
+            w.putUint(r.rawSize);
+            w.putUint(r.index);
+            w.putBytes(data + r.rel, r.size);
+        }
+        w.endSequence();
+        out = w.finish();
+    } else {
+        const std::uint64_t table3 = 64 + metaSize;
+        const std::uint64_t data3 = table3 + count * 32;
+        out.assign(data3, 0);
+        std::memcpy(out.data(), "LPLIB3\n", 8);
+        putU64At(out, 8, 1); // version
+        putU64At(out, 16, count);
+        putU64At(out, 24, 64);
+        putU64At(out, 32, metaSize);
+        putU64At(out, 40, table3);
+        putU64At(out, 48, data3);
+        putU64At(out, 56, data3 + (in.size() - dataAt));
+        std::memcpy(out.data() + 64, meta, metaSize);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const std::size_t r = static_cast<std::size_t>(table3 + i * 32);
+            putU64At(out, r, rows[i].rel);
+            putU64At(out, r + 8, rows[i].size);
+            putU64At(out, r + 16, rows[i].rawSize);
+            putU64At(out, r + 24, rows[i].index);
+        }
+        out.insert(out.end(), data, in.data() + in.size());
+    }
+    spewFile(dst, out);
 }
 
 namespace jsondetail
