@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hh"
 
@@ -14,22 +16,29 @@ namespace
 constexpr Addr kCodeBase = 0x40000000ull;
 constexpr Addr kDataBase = 0x10000000ull;
 constexpr std::uint64_t kHotBytes = 64 * 1024;
-
-/** Uniform double in [0,1) from a hash of (seed, a, b, salt). */
-double
-hashU01(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-        std::uint64_t salt)
-{
-    const std::uint64_t h =
-        hashMix(hashCombine(hashCombine(seed, a), hashCombine(b, salt)));
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+/** Chunk-phase table cap (4 MB); later chunks hash their phase. */
+constexpr InstCount kMaxTableChunks = InstCount{1} << 22;
 
 std::uint64_t
 hashVal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
         std::uint64_t salt)
 {
     return hashMix(hashCombine(hashCombine(seed, a), hashCombine(b, salt)));
+}
+
+/** Uniform double in [0,1) from a 64-bit hash. */
+double
+toU01(std::uint64_t h)
+{
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/** Uniform double in [0,1) from a hash of (seed, a, b, salt). */
+double
+hashU01(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+        std::uint64_t salt)
+{
+    return toU01(hashVal(seed, a, b, salt));
 }
 
 /** Static role of a slot in a phase's loop body. */
@@ -104,107 +113,158 @@ chunkPhase(std::uint64_t seed, std::uint64_t chunk, std::size_t nPhases)
                                  nPhases);
 }
 
+/** Phase index of @p chunk: the table, else the hash. */
+unsigned
+phaseOfChunk(const Program &prog, std::uint64_t chunk)
+{
+    return chunk < prog.chunkPhases.size()
+               ? prog.chunkPhases[chunk]
+               : chunkPhase(prog.profile.seed, chunk, prog.phases.size());
+}
+
+/**
+ * hashVal(seed, index, slot, salt) with the slot half
+ * (instanceKey = hashCombine(slot, salt)) taken from the slot table.
+ */
+std::uint64_t
+instanceHash(std::uint64_t seed, InstCount index, std::uint64_t instanceKey)
+{
+    return hashMix(hashCombine(hashCombine(seed, index), instanceKey));
+}
+
+/** Decode slot @p slot of phase @p phase (the static part of fetch). */
+SlotDecode
+decodeSlot(const PhaseSpec &ph, std::uint64_t seed, unsigned phase,
+           unsigned slot)
+{
+    SlotDecode sd;
+    sd.op = slotRole(ph, seed, phase, slot);
+
+    const std::uint64_t h = hashVal(seed, phase, slot, 0x0b5);
+    switch (sd.op) {
+      case Opcode::Load:
+      case Opcode::IntAlu:
+      case Opcode::IntMul:
+        sd.dst = static_cast<std::uint8_t>(1 + (h % 15));
+        sd.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        sd.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+        break;
+      case Opcode::Store:
+        // Stores define no register (dst 0 = hardwired zero).
+        sd.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        sd.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+        break;
+      case Opcode::FpAlu:
+      case Opcode::FpMul:
+        sd.dst = static_cast<std::uint8_t>(16 + (h % 15));
+        sd.src1 = static_cast<std::uint8_t>(16 + ((h >> 8) % 15));
+        sd.src2 = static_cast<std::uint8_t>(16 + ((h >> 16) % 15));
+        break;
+      case Opcode::Bne:
+      case Opcode::Jump:
+        sd.src1 = static_cast<std::uint8_t>(1 + (h % 15));
+        sd.src2 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
+        break;
+    }
+
+    using Dynamic = SlotDecode::Dynamic;
+    if (sd.op == Opcode::Load || sd.op == Opcode::Store) {
+        // Locality class is a property of the static slot; the
+        // concrete address varies per dynamic instance.
+        const double lu = hashU01(seed, phase, slot, 0x10c);
+        if (lu < ph.randomFrac) {
+            sd.dynamic = Dynamic::RandomAddr;
+            sd.instanceKey = hashCombine(slot, 0xadd);
+        } else if (lu < ph.randomFrac + ph.hotFrac) {
+            sd.dynamic = Dynamic::HotAddr;
+            sd.instanceKey = hashCombine(slot, 0x607);
+        } else {
+            sd.dynamic = Dynamic::StridedAddr;
+            sd.stride = 8ull << (hashVal(seed, phase, slot, 0x57) % 4);
+        }
+    } else if (sd.op == Opcode::Bne) {
+        if (slot + 1 == ph.bodySize) {
+            sd.dynamic = Dynamic::LoopBack;
+            sd.target = ph.pcBase;
+        } else {
+            sd.target = ph.pcBase + slot + 1 + (h % 16);
+            if (hashU01(seed, phase, slot, 0x4015e) < ph.noiseFrac) {
+                sd.dynamic = Dynamic::NoisyDir;
+                sd.instanceKey = hashCombine(slot, 0xd1ce);
+            } else {
+                // Stable per-site direction with rare flips.
+                sd.dynamic = Dynamic::StableDir;
+                sd.dir = hashU01(seed, phase, slot, 0xd12) < ph.takenBias;
+                sd.instanceKey = hashCombine(slot, 0xf11b);
+            }
+        }
+    }
+    return sd;
+}
+
 } // namespace
 
 const PhaseSpec &
 Program::phaseAt(InstCount index) const
 {
-    const std::uint64_t chunk = index / chunkInsts;
-    return phases[chunkPhase(profile.seed, chunk, phases.size())];
+    return phases[phaseOfChunk(*this, index / chunkInsts)];
 }
 
 Instruction
 Program::fetch(InstCount index) const
 {
-    const std::uint64_t seed = profile.seed;
     const std::uint64_t chunk = index / chunkInsts;
-    const unsigned phase = chunkPhase(seed, chunk, phases.size());
-    const PhaseSpec &ph = phases[phase];
     const InstCount chunkOff = index % chunkInsts;
+    const PhaseSpec &ph = phases[phaseOfChunk(*this, chunk)];
     const unsigned slot = static_cast<unsigned>(chunkOff % ph.bodySize);
-    const std::uint64_t iter = index / ph.bodySize; // global iteration
+    const SlotDecode &sd = slots[ph.firstSlot + slot];
 
     Instruction ins;
-    ins.op = slotRole(ph, seed, phase, slot);
+    ins.op = sd.op;
+    ins.dst = sd.dst;
+    ins.src1 = sd.src1;
+    ins.src2 = sd.src2;
     ins.pc = ph.pcBase + slot;
+    ins.target = sd.target;
 
-    const std::uint64_t h = hashVal(seed, phase, slot, 0x0b5);
-    switch (ins.op) {
-      case Opcode::Load:
-      case Opcode::IntAlu:
-      case Opcode::IntMul:
-        ins.dst = static_cast<std::uint8_t>(1 + (h % 15));
-        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+    const std::uint64_t seed = profile.seed;
+    std::uint64_t off = 0;
+    switch (sd.dynamic) {
+      case SlotDecode::Dynamic::None:
+        return ins;
+      case SlotDecode::Dynamic::RandomAddr: {
+        // A drifting random neighborhood: pointer-heavy code revisits
+        // a working frontier that advances through the footprint.
+        // Reuse mass stays short-distance (as in real programs)
+        // instead of the fat uniform tail a whole-region random draw
+        // would give MRRL.
+        const std::uint64_t neighborhood = 32 * 1024;
+        const std::uint64_t frontier = (index / 4096) * 2048;
+        const std::uint64_t h = instanceHash(seed, index, sd.instanceKey);
+        off = (frontier + h % neighborhood) % ph.regionBytes;
         break;
-      case Opcode::Store:
-        // Stores define no register (dst 0 = hardwired zero).
-        ins.src1 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 16) % 15));
+      }
+      case SlotDecode::Dynamic::HotAddr:
+        off = instanceHash(seed, index, sd.instanceKey) % ph.hotBytes;
         break;
-      case Opcode::FpAlu:
-      case Opcode::FpMul:
-        ins.dst = static_cast<std::uint8_t>(16 + (h % 15));
-        ins.src1 = static_cast<std::uint8_t>(16 + ((h >> 8) % 15));
-        ins.src2 = static_cast<std::uint8_t>(16 + ((h >> 16) % 15));
+      case SlotDecode::Dynamic::StridedAddr: {
+        const std::uint64_t iter = index / ph.bodySize; // global
+        off = (iter * sd.stride + slot * 8) % ph.regionBytes;
         break;
-      case Opcode::Bne:
-      case Opcode::Jump:
-        ins.src1 = static_cast<std::uint8_t>(1 + (h % 15));
-        ins.src2 = static_cast<std::uint8_t>(1 + ((h >> 8) % 15));
-        break;
+      }
+      case SlotDecode::Dynamic::LoopBack:
+        ins.taken = (chunkOff + 1 != chunkInsts);
+        return ins;
+      case SlotDecode::Dynamic::NoisyDir:
+        ins.taken = toU01(instanceHash(seed, index, sd.instanceKey)) < 0.5;
+        return ins;
+      case SlotDecode::Dynamic::StableDir:
+        ins.taken =
+            sd.dir !=
+            (toU01(instanceHash(seed, index, sd.instanceKey)) < 0.04);
+        return ins;
     }
-
-    if (ins.isMem()) {
-        // Locality class is a property of the static slot; the
-        // concrete address varies per dynamic instance.
-        const double lu = hashU01(seed, phase, slot, 0x10c);
-        std::uint64_t off;
-        if (lu < ph.randomFrac) {
-            // A drifting random neighborhood: pointer-heavy code
-            // revisits a working frontier that advances through the
-            // footprint. Reuse mass stays short-distance (as in real
-            // programs) instead of the fat uniform tail a whole-region
-            // random draw would give MRRL.
-            const std::uint64_t h2 = hashVal(seed, index, slot, 0xadd);
-            const std::uint64_t neighborhood = 32 * 1024;
-            const std::uint64_t frontier = (index / 4096) * 2048;
-            off = (frontier + (h2 % neighborhood)) % ph.regionBytes;
-        } else if (lu < ph.randomFrac + ph.hotFrac) {
-            off = hashVal(seed, index, slot, 0x607) % ph.hotBytes;
-        } else {
-            // Strided walk; stride is a property of the slot.
-            const std::uint64_t stride = 8ull
-                                         << (hashVal(seed, phase, slot,
-                                                     0x57) %
-                                             4);
-            off = (iter * stride + slot * 8) % ph.regionBytes;
-        }
-        ins.addr = ph.regionBase + (off & ~7ull);
-    }
-
-    if (ins.op == Opcode::Bne) {
-        if (slot + 1 == ph.bodySize) {
-            // Loop-back branch: taken unless this iteration ends the
-            // chunk.
-            ins.target = ph.pcBase;
-            ins.taken = (chunkOff + 1 != chunkInsts);
-        } else {
-            ins.target = ins.pc + 1 + (h % 16);
-            const bool noisy =
-                hashU01(seed, phase, slot, 0x4015e) < ph.noiseFrac;
-            if (noisy) {
-                ins.taken = hashU01(seed, index, slot, 0xd1ce) < 0.5;
-            } else {
-                // Stable per-site direction with rare flips.
-                const bool dir =
-                    hashU01(seed, phase, slot, 0xd12) < ph.takenBias;
-                const bool flip =
-                    hashU01(seed, index, slot, 0xf11b) < 0.04;
-                ins.taken = dir != flip;
-            }
-        }
-    }
+    ins.addr = ph.regionBase + (off & ~7ull);
     return ins;
 }
 
@@ -255,6 +315,12 @@ Program::wrongPath(InstCount index, unsigned k) const
 Program
 generateProgram(const WorkloadProfile &profile)
 {
+    if (profile.phases > Program::kMaxPhases)
+        throw std::invalid_argument(
+            "generateProgram: " + std::to_string(profile.phases) +
+            " phases exceed the limit of " +
+            std::to_string(Program::kMaxPhases));
+
     Program prog;
     prog.name = profile.name;
     prog.profile = profile;
@@ -305,19 +371,30 @@ generateProgram(const WorkloadProfile &profile)
                 hashVal(seed, p, 0, 0xb0d) %
                     std::max(1u, profile.loopBodySize),
             32, 1024));
+        ph.firstSlot = prog.slots.size();
+        for (unsigned slot = 0; slot < ph.bodySize; ++slot)
+            prog.slots.push_back(decodeSlot(ph, seed, p, slot));
         prog.phases.push_back(ph);
     }
 
     const InstCount chunks =
         std::max<InstCount>(profile.targetInsts / prog.chunkInsts, 1);
     prog.length = chunks * prog.chunkInsts;
+    prog.chunkPhases.resize(std::min<InstCount>(chunks, kMaxTableChunks));
+    for (std::size_t c = 0; c < prog.chunkPhases.size(); ++c)
+        prog.chunkPhases[c] =
+            static_cast<std::uint8_t>(chunkPhase(seed, c, nPhases));
 
     // Initial data: a deterministic pattern over the first hot region
-    // so early loads see nonzero values.
+    // so early loads see nonzero values (one hash per 8-byte word,
+    // stored little-endian).
     prog.dataInit.resize(kHotBytes);
-    for (std::size_t i = 0; i < prog.dataInit.size(); ++i)
-        prog.dataInit[i] = static_cast<std::uint8_t>(
-            hashVal(seed, i >> 3, 0, 0xda7a) >> ((i & 7) * 8));
+    for (std::size_t w = 0; w < kHotBytes / 8; ++w) {
+        const std::uint64_t h = hashVal(seed, w, 0, 0xda7a);
+        for (unsigned b = 0; b < 8; ++b)
+            prog.dataInit[w * 8 + b] =
+                static_cast<std::uint8_t>(h >> (b * 8));
+    }
 
     return prog;
 }

@@ -11,12 +11,21 @@
  * chunks. Each phase has its own loop body (static instructions with
  * stable roles, so branch predictors and caches see realistic reuse),
  * working-set region, instruction mix, and locality behaviour.
+ *
+ * Everything that depends only on (seed, phase, slot) — opcode,
+ * registers, locality class, stride, branch target and bias — and the
+ * phase of each chunk are decoded once, in generateProgram, into
+ * Program::slots and Program::chunkPhases. fetch() reads those tables
+ * and hashes only the per-instance parts (a random or hot address, a
+ * noisy or flipped direction). A Program must therefore come from
+ * generateProgram, and its `phases` must not be edited afterwards.
  */
 
 #ifndef LP_WORKLOAD_GENERATOR_HH
 #define LP_WORKLOAD_GENERATOR_HH
 
 #include <array>
+#include <vector>
 
 #include "codec/der.hh"
 #include "mem/memport.hh"
@@ -88,6 +97,36 @@ struct PhaseSpec
     double noiseFrac = 0;
     double randomFrac = 0;
     double hotFrac = 0;
+    std::size_t firstSlot = 0; //!< slot 0's entry in Program::slots
+};
+
+/**
+ * The static decode of one loop-body slot of one phase, plus what
+ * fetch() must still derive per dynamic instance of it.
+ */
+struct SlotDecode
+{
+    enum class Dynamic : std::uint8_t
+    {
+        None,        //!< ALU work: nothing varies per instance
+        RandomAddr,  //!< address in a drifting random neighbourhood
+        HotAddr,     //!< address in the phase's hot region
+        StridedAddr, //!< address of a strided walk
+        LoopBack,    //!< taken unless the iteration ends the chunk
+        NoisyDir,    //!< data-dependent direction (a coin flip)
+        StableDir    //!< `dir`, with rare per-instance flips
+    };
+
+    Opcode op = Opcode::IntAlu;
+    std::uint8_t dst = 0;
+    std::uint8_t src1 = 0;
+    std::uint8_t src2 = 0;
+    Dynamic dynamic = Dynamic::None;
+    bool dir = false;         //!< StableDir: the site's direction
+    std::uint64_t stride = 0; //!< StridedAddr: bytes per iteration
+    PcIndex target = 0;       //!< branch target
+    /** hashCombine(slot, salt) of the per-instance hash, if any. */
+    std::uint64_t instanceKey = 0;
 };
 
 struct Program
@@ -100,6 +139,17 @@ struct Program
     Addr codeBase = 0;
     Addr dataBase = 0;
     std::vector<std::uint8_t> dataInit; //!< initial bytes at dataBase
+
+    /** Derived: every phase's slots, phase p's from firstSlot on. */
+    std::vector<SlotDecode> slots;
+
+    /**
+     * Derived: the phase index of each chunk in [0, length), capped at
+     * 4M chunks. Its element type bounds the phase count (kMaxPhases);
+     * fetch() hashes the phase of any chunk past the table.
+     */
+    std::vector<std::uint8_t> chunkPhases;
+    static constexpr unsigned kMaxPhases = 256;
 
     /** The phase active at dynamic instruction @p index. */
     const PhaseSpec &phaseAt(InstCount index) const;
@@ -118,7 +168,11 @@ struct Program
     Instruction wrongPath(InstCount index, unsigned k) const;
 };
 
-/** Build the deterministic program described by @p profile. */
+/**
+ * Build the deterministic program described by @p profile, with its
+ * decode tables. Throws std::invalid_argument if profile.phases
+ * exceeds Program::kMaxPhases.
+ */
 Program generateProgram(const WorkloadProfile &profile);
 
 /** Dynamic length of the program (whole chunks of the target count). */
