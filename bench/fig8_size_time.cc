@@ -101,7 +101,7 @@ main()
         // the warm state at the target geometry (the 8-way config,
         // clipped to the library maximum for the small steps). The
         // decode goes through the allocation-free span path, like the
-        // replay engine's producers.
+        // replay engine's workers.
         CoreConfig target = cfg8;
         target.bpred = bp;
         if (target.mem.l2.sizeBytes > l2Size)

@@ -621,12 +621,10 @@ CampaignEngine::run()
 
     ReplayEngineOptions ropt;
     ropt.threads = std::max(opt_.threads, 1u);
-    ropt.decodeThreads = opt_.decodeThreads;
     ropt.approxWrongPath = opt_.approxWrongPath;
     ropt.residentBudgetBytes = opt_.residentBudgetBytes;
     ropt.control = opt_.control;
-    ropt.decodeThreads = replayDecodeThreads(ropt);
-    ThreadPool pool(ropt.threads + ropt.decodeThreads);
+    ThreadPool pool(ropt.threads);
     ropt.sharedPool = &pool;
 
     // Replays folded so far, campaign-wide, restored work included —

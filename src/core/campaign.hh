@@ -95,9 +95,8 @@ struct CampaignOptions
     /** Per-workload processing order; 0 = stored order. */
     std::uint64_t shuffleSeed = 0;
 
-    unsigned threads = 1;       //!< simulation workers
-    unsigned decodeThreads = 0; //!< decode producers; 0 = auto
-    std::size_t blockSize = 0;  //!< fold/stopping block; 0 = default
+    unsigned threads = 1;      //!< simulation workers
+    std::size_t blockSize = 0; //!< fold/stopping block; 0 = default
 
     /**
      * Global replay budget: the campaign stops (gracefully, at a

@@ -136,7 +136,7 @@ class LivePointLibrary
 
     /**
      * Decompress and decode the @p i-th stored point. Convenience for
-     * one-off inspection; hot paths (replay producers, benches) use
+     * one-off inspection; hot paths (replay workers, benches) use
      * decodeInto(), which allocates nothing in steady state.
      */
     LivePoint get(std::size_t i) const;

@@ -29,15 +29,6 @@ contextBindings(const Program &prog, MemPort &port, MemHierarchy &hier,
     return b;
 }
 
-unsigned
-autoProducers(unsigned workers)
-{
-    // Decoding one point is a fraction of simulating it, so a few
-    // producers keep many workers fed; one is enough to pipeline a
-    // single worker.
-    return std::max(1u, (workers + 2) / 3);
-}
-
 } // namespace
 
 std::vector<std::size_t>
@@ -52,13 +43,6 @@ replayOrder(std::size_t n, std::uint64_t shuffleSeed)
             std::swap(order[i - 1], order[rng.nextBounded(i)]);
     }
     return order;
-}
-
-unsigned
-replayDecodeThreads(const ReplayEngineOptions &opt)
-{
-    return opt.decodeThreads ? opt.decodeThreads
-                             : autoProducers(std::max(opt.threads, 1u));
 }
 
 ReplayContext::Unit::Unit(const Program &prog, const CoreConfig &config,
@@ -249,14 +233,7 @@ ReplayEngine::ReplayEngine(const Program &prog,
     : prog_(prog), cfgs_(std::move(cfgs)),
       approxWrongPath_(opt.approxWrongPath),
       threads_(std::max(opt.threads, 1u)),
-      producers_(opt.decodeThreads ? opt.decodeThreads
-                                   : autoProducers(threads_)),
-      ringSlots_(opt.ringSlots
-                     ? opt.ringSlots
-                     : std::clamp<std::size_t>(
-                           2 * (threads_ + producers_), 8, 64)),
-      residentBudget_(opt.residentBudgetBytes),
-      control_(opt.control)
+      residentBudget_(opt.residentBudgetBytes), control_(opt.control)
 {
     if (cfgs_.empty())
         throw std::invalid_argument("ReplayEngine: no configurations");
@@ -264,18 +241,17 @@ ReplayEngine::ReplayEngine(const Program &prog,
         throw std::invalid_argument(
             "ReplayEngine: too many configurations");
     if (opt.sharedPool) {
-        if (opt.sharedPool->size() < threads_ + producers_)
+        if (opt.sharedPool->size() < threads_)
             throw std::invalid_argument(
-                "ReplayEngine: shared pool is smaller than threads + "
-                "decode producers");
+                "ReplayEngine: shared pool is smaller than threads");
         pool_ = opt.sharedPool;
     } else {
-        ownedPool_ = std::make_unique<ThreadPool>(threads_ + producers_);
+        ownedPool_ = std::make_unique<ThreadPool>(threads_);
         pool_ = ownedPool_.get();
     }
-    ctx_.reserve(threads_);
+    workers_.reserve(threads_);
     for (unsigned w = 0; w < threads_; ++w)
-        ctx_.push_back(std::make_unique<ReplayContext>(prog_, cfgs_));
+        workers_.push_back(std::make_unique<Worker>(prog_, cfgs_));
     // Caller contexts are built lazily: only simulateOne() needs them.
     callerCtx_.resize(cfgs_.size());
     faults_.resize(cfgs_.size());
@@ -338,27 +314,11 @@ ReplayEngine::run(
     const std::size_t numBlocks = (n + blockSize - 1) / blockSize;
     const std::size_t firstBlock = first / blockSize;
     const std::size_t nc = cfgs_.size();
-    const std::size_t S = ringSlots_;
     const std::uint64_t allMask = replayMaskAll(nc);
-
-    // The bounded decode ring. Slot j cycles through points first+j,
-    // first+j+S, ...; nextFill sequences the producers, holds tells a
-    // waiting worker its point has arrived.
-    struct Slot
-    {
-        LivePoint point;
-        LivePointDecodeScratch scratch;
-        std::size_t holds = 0;
-        std::size_t nextFill = 0;
-        bool full = false;
-    };
-    std::vector<Slot> slots(S);
-    for (std::size_t j = 0; j < S; ++j)
-        slots[(first + j) % S].nextFill = first + j;
-
-    std::mutex ringM;
-    std::condition_variable cvFill;  //!< producers wait for a free slot
-    std::condition_variable cvReady; //!< workers wait for their point
+    // A worker's delta-chain cache names a record position of the
+    // library it decoded last; this run may read another library.
+    for (const std::unique_ptr<Worker> &w : workers_)
+        w->scratch.resetCache();
 
     std::mutex foldM;
     std::condition_variable cvBlockDone;    //!< folder waits on blocks
@@ -366,7 +326,7 @@ ReplayEngine::run(
     std::size_t foldedPoints = first; //!< guarded by foldM
 
     // Resident-budget window (budget != 0): bytes a point pins from
-    // producer admission (compressed record + decoded image) until
+    // its worker's admission (compressed record + decoded image) until
     // the fold barrier passes it. Admission is ticketed in point
     // order, so which points wait depends only on the deterministic
     // byte sizes, never on thread timing.
@@ -384,7 +344,6 @@ ReplayEngine::run(
         return lib.chargeBytes(order[k]);
     };
 
-    std::atomic<std::size_t> decodeNext{first};
     std::atomic<std::size_t> simNext{first};
     std::atomic<bool> stop{false};
     // Configurations workers still replay. The fold barrier retires
@@ -409,11 +368,6 @@ ReplayEngine::run(
     auto halt = [&]() {
         stop.store(true);
         {
-            std::lock_guard<std::mutex> lk(ringM);
-        }
-        cvFill.notify_all();
-        cvReady.notify_all();
-        {
             std::lock_guard<std::mutex> lk(foldM);
         }
         cvBlockDone.notify_all();
@@ -424,65 +378,42 @@ ReplayEngine::run(
         cvAdmit.notify_all();
     };
 
-    auto producer = [&]() {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t k = decodeNext.fetch_add(1);
-            if (k >= n)
-                return;
-            if (budget) {
-                const std::uint64_t b = pointBytes(k);
-                {
-                    std::unique_lock<std::mutex> lk(gateM);
-                    cvAdmit.wait(lk, [&]() {
-                        if (stop.load())
-                            return true;
-                        if (admitNext != k)
-                            return false;
-                        if (residentNow == 0 ||
-                            residentNow + b <= budget)
-                            return true;
-                        // The fold-frontier block must always admit:
-                        // the barrier cannot release bytes until its
-                        // whole block is simulated and folded.
-                        const std::size_t frontier = foldFloor.load();
-                        return k <
-                               (frontier / blockSize + 1) * blockSize;
-                    });
-                    if (stop.load())
-                        return;
-                    residentNow += b;
-                    admitNext = k + 1;
-                    if (residentNow >
-                        peakResidentBytes_.load(
-                            std::memory_order_relaxed))
-                        peakResidentBytes_.store(
-                            residentNow, std::memory_order_relaxed);
-                }
-                cvAdmit.notify_all();
-                // Page-in hint ahead of the simulation claim counter.
-                lib.prefetchRecord(order[k]);
-            }
-            Slot &s = slots[k % S];
-            {
-                std::unique_lock<std::mutex> lk(ringM);
-                cvFill.wait(lk, [&]() {
-                    return stop.load() || (!s.full && s.nextFill == k);
-                });
+    // Ordered admission into the resident window. Points are claimed
+    // in increasing order, so the ticket holder k is the smallest
+    // claimed point not yet admitted; every point before it is already
+    // admitted and simulating, which is what lets the frontier block
+    // complete and the barrier credit bytes back. Returns false when
+    // the run is halting.
+    auto admit = [&](std::size_t k) -> bool {
+        const std::uint64_t b = pointBytes(k);
+        {
+            std::unique_lock<std::mutex> lk(gateM);
+            cvAdmit.wait(lk, [&]() {
                 if (stop.load())
-                    return;
-            }
-            // The slot is exclusively ours until marked full.
-            lib.decodeInto(order[k], s.scratch, s.point);
-            bytesDecoded_.fetch_add(s.scratch.payload.size(),
-                                    std::memory_order_relaxed);
-            pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lk(ringM);
-                s.full = true;
-                s.holds = k;
-            }
-            cvReady.notify_all();
+                    return true;
+                if (admitNext != k)
+                    return false;
+                if (residentNow == 0 || residentNow + b <= budget)
+                    return true;
+                // The fold-frontier block must always admit: the
+                // barrier cannot release bytes until its whole block
+                // is simulated and folded.
+                const std::size_t frontier = foldFloor.load();
+                return k < (frontier / blockSize + 1) * blockSize;
+            });
+            if (stop.load())
+                return false;
+            residentNow += b;
+            admitNext = k + 1;
+            if (residentNow >
+                peakResidentBytes_.load(std::memory_order_relaxed))
+                peakResidentBytes_.store(residentNow,
+                                         std::memory_order_relaxed);
         }
+        cvAdmit.notify_all();
+        // Page-in hint for the decode that follows.
+        lib.prefetchRecord(order[k]);
+        return true;
     };
 
     // The per-replay fault site. An injected error fails
@@ -523,7 +454,8 @@ ReplayEngine::run(
     };
 
     auto worker = [&](unsigned w) {
-        ReplayContext &ctx = *ctx_[w];
+        Worker &me = *workers_[w];
+        ReplayContext &ctx = me.ctx;
         while (!stop.load(std::memory_order_relaxed)) {
             const std::size_t k = simNext.fetch_add(1);
             if (k >= n)
@@ -539,19 +471,16 @@ ReplayEngine::run(
                 if (stop.load())
                     return;
             }
-            Slot &s = slots[k % S];
-            {
-                std::unique_lock<std::mutex> lk(ringM);
-                cvReady.wait(lk, [&]() {
-                    return stop.load() || (s.full && s.holds == k);
-                });
-                if (stop.load())
-                    return;
-            }
+            if (budget && !admit(k))
+                return;
+            lib.decodeInto(order[k], me.scratch, me.point);
+            bytesDecoded_.fetch_add(me.scratch.payload.size(),
+                                    std::memory_order_relaxed);
+            pointsDecoded_.fetch_add(1, std::memory_order_relaxed);
             WindowResult *out = resultRow(k);
             if (nc == 1) {
                 if (!cellGate(k, 0)) {
-                    out[0] = ctx.simulate(s.point, approxWrongPath_);
+                    out[0] = ctx.simulate(me.point, approxWrongPath_);
                     replaysExecuted_.fetch_add(
                         1, std::memory_order_relaxed);
                 }
@@ -561,7 +490,7 @@ ReplayEngine::run(
                 // replays from it.
                 const std::uint64_t m =
                     activeMask.load(std::memory_order_acquire);
-                ctx.loadPoint(s.point);
+                ctx.loadPoint(me.point);
                 std::uint64_t ran = 0;
                 for (std::size_t c = 0; c < nc; ++c) {
                     if (!((m >> c) & 1))
@@ -577,12 +506,6 @@ ReplayEngine::run(
             if (control_)
                 control_->progress.fetch_add(
                     1, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lk(ringM);
-                s.full = false;
-                s.nextFill = k + S;
-            }
-            cvFill.notify_all();
             const std::size_t b = k / blockSize;
             if (blockRemaining[b].fetch_sub(1) == 1) {
                 std::lock_guard<std::mutex> lk(foldM);
@@ -593,12 +516,10 @@ ReplayEngine::run(
 
     const std::function<void(unsigned)> job = [&](unsigned id) {
         try {
-            if (id < producers_)
-                producer();
-            else if (id < producers_ + threads_)
-                worker(id - producers_);
             // A shared pool may be wider than this run needs; the
             // excess workers return immediately.
+            if (id < threads_)
+                worker(id);
         } catch (...) {
             halt();
             throw;

@@ -14,12 +14,11 @@
  *    configuration over a write-private overlay — the decode and
  *    live-state cost Figure 7 shows dominating per-point replay is
  *    paid once per point, not once per configuration.
- *  - **Decode pipeline.** Dedicated producer threads decompress and
- *    deserialize points into a bounded ring of reusable slot buffers,
- *    so simulation workers never block on the library codec.
  *  - **Work stealing.** Points are claimed from an atomic counter, so
  *    a straggling point never serializes the tail the way static
- *    striding does.
+ *    striding does. The claiming worker admits the point (resident
+ *    budget), decodes it into its own reusable scratch, and simulates
+ *    it: the pool runs exactly `threads` workers and no other role.
  *  - **Block-synchronous folding.** Results are folded on the calling
  *    thread in deterministic block order; confidence checks (early
  *    stopping) happen at block barriers, and the barrier can retire
@@ -71,21 +70,19 @@ std::vector<std::size_t> replayOrder(std::size_t n,
 
 struct ReplayEngineOptions
 {
-    unsigned threads = 1;       //!< simulation workers
-    unsigned decodeThreads = 0; //!< decode producers; 0 = auto
+    unsigned threads = 1; //!< simulation workers (each decodes its own)
     bool approxWrongPath = false;
-    std::size_t ringSlots = 0;  //!< decode ring depth; 0 = auto
 
     /**
      * Resident-budget streaming mode (0 = off). A nonzero budget
      * bounds the engine's in-flight window: each point is charged
      * its compressed + raw bytes — summed over its delta chain when
      * the library delta-encodes, since decoding a delta point
-     * materializes its bases — when a decode producer admits it
-     * (with a backend prefetch hint issued ahead of the simulation
-     * claim counter) and credited back when the fold barrier passes
-     * it (with a release hint, so a mapped backend's pages can be
-     * dropped behind the run). Admission is strictly ordered and
+     * materializes its bases — when the worker that claimed it admits
+     * it (with a backend prefetch hint issued before the decode) and
+     * credited back when the fold barrier passes it (with a release
+     * hint, so a mapped backend's pages can be dropped behind the
+     * run). Admission is strictly ordered (claim order) and
      * only ever *delays* decodes, so estimates, stopping points, and
      * manifests are bit-identical to the unbudgeted run at every
      * thread count. The fold-frontier block is always admitted
@@ -98,9 +95,9 @@ struct ReplayEngineOptions
     /**
      * Run on this pool instead of constructing one per engine (the
      * campaign engine shares one pool across every workload's run).
-     * Must hold at least threads + decode producers workers; the
-     * caller keeps ownership and must not run anything else on it
-     * while this engine runs.
+     * Must hold at least `threads` workers; the caller keeps
+     * ownership and must not run anything else on it while this
+     * engine runs.
      */
     ThreadPool *sharedPool = nullptr;
 
@@ -114,12 +111,6 @@ struct ReplayEngineOptions
      */
     ReplayControl *control = nullptr;
 };
-
-/**
- * Decode producers an engine built with @p opt will use — what a
- * caller supplying a shared pool must size for (threads + this).
- */
-unsigned replayDecodeThreads(const ReplayEngineOptions &opt);
 
 /**
  * Cross-run schedule for ReplayEngine::run — where the run begins and
@@ -251,7 +242,6 @@ class ReplayEngine
                  const ReplayEngineOptions &opt);
 
     unsigned threads() const { return threads_; }
-    unsigned decodeThreads() const { return producers_; }
     std::size_t configCount() const { return cfgs_.size(); }
 
     /** Raw live-point bytes decoded so far, across all calls. */
@@ -343,13 +333,24 @@ class ReplayEngine
     void recordCellFault(std::size_t c, std::size_t point, bool stuck,
                          const std::string &reason);
 
+    /** One simulation worker's pooled state, reused across points. */
+    struct Worker
+    {
+        Worker(const Program &prog, const std::vector<CoreConfig> &cfgs)
+            : ctx(prog, cfgs)
+        {
+        }
+
+        ReplayContext ctx;
+        LivePointDecodeScratch scratch;
+        LivePoint point;
+    };
+
     const Program &prog_;
     std::vector<CoreConfig> cfgs_;
     bool approxWrongPath_;
     unsigned threads_;
-    unsigned producers_;
-    std::size_t ringSlots_;
-    std::vector<std::unique_ptr<ReplayContext>> ctx_; //!< one per worker
+    std::vector<std::unique_ptr<Worker>> workers_; //!< one per pool worker
     std::vector<std::unique_ptr<ReplayContext>> callerCtx_;
     LivePointDecodeScratch callerScratch_;
     LivePoint callerPoint_;

@@ -191,7 +191,6 @@ runLivePoints(const Program &prog, const LivePointLibrary &lib,
     if (!order.empty()) {
         ReplayEngineOptions ropt;
         ropt.threads = opt.threads;
-        ropt.decodeThreads = opt.decodeThreads;
         ropt.approxWrongPath = opt.approxWrongPath;
         ropt.residentBudgetBytes = opt.residentBudgetBytes;
         ReplayEngine engine(prog, {cfg}, ropt);
@@ -241,7 +240,6 @@ runMatchedPair(const Program &prog, const LivePointLibrary &lib,
     if (!order.empty()) {
         ReplayEngineOptions ropt;
         ropt.threads = opt.threads;
-        ropt.decodeThreads = opt.decodeThreads;
         ropt.approxWrongPath = opt.approxWrongPath;
         ropt.residentBudgetBytes = opt.residentBudgetBytes;
         // Both configurations of a point run on the same worker from

@@ -72,9 +72,8 @@ struct LivePointRunOptions
     bool approxWrongPath = false;
     std::uint64_t shuffleSeed = 0; //!< 0: process in stored order
     bool recordTrajectory = false;
-    unsigned threads = 1;       //!< simulation workers
-    unsigned decodeThreads = 0; //!< decode producers; 0 = auto
-    std::size_t blockSize = 0;  //!< fold/stopping block; 0 = default
+    unsigned threads = 1;      //!< simulation workers
+    std::size_t blockSize = 0; //!< fold/stopping block; 0 = default
 
     /**
      * Resident-budget streaming replay (0 = off): bound the decode

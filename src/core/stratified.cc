@@ -50,7 +50,6 @@ runStratified(const Program &prog, const LivePointLibrary &lib,
 
     ReplayEngineOptions ropt;
     ropt.threads = opt.threads;
-    ropt.decodeThreads = opt.decodeThreads;
     ropt.approxWrongPath = opt.approxWrongPath;
     ReplayEngine engine(prog, {cfg}, ropt);
 

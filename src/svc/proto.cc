@@ -200,7 +200,7 @@ encodeJobSpec(const JobSpec &spec)
     w.putUint(spec.approxWrongPath ? 1 : 0);
     w.putUint(spec.shuffleSeed);
     w.putUint(spec.threads);
-    w.putUint(spec.decodeThreads);
+    w.putUint(0); // reserved: the retired decode-thread count
     w.putUint(spec.blockSize);
     w.putUint(spec.maxFoldedReplays);
     w.putUint(spec.residentBudgetBytes);
@@ -249,7 +249,9 @@ decodeJobSpec(const Blob &payload)
     spec.approxWrongPath = s.getUint() != 0;
     spec.shuffleSeed = s.getUint();
     spec.threads = static_cast<std::uint32_t>(s.getUint());
-    spec.decodeThreads = static_cast<std::uint32_t>(s.getUint());
+    // Reserved slot: older encoders wrote the retired decode-thread
+    // count here; read and drop it so their specs still decode.
+    s.getUint();
     spec.blockSize = s.getUint();
     spec.maxFoldedReplays = s.getUint();
     spec.residentBudgetBytes = s.getUint();

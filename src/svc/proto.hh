@@ -122,9 +122,8 @@ struct JobSpec
     bool stopAtConfidence = true;
     bool approxWrongPath = false;
     std::uint64_t shuffleSeed = 0;
-    std::uint32_t threads = 1;       //!< simulation workers
-    std::uint32_t decodeThreads = 0; //!< 0 = auto
-    std::uint64_t blockSize = 0;     //!< 0 = default fold block
+    std::uint32_t threads = 1;   //!< simulation workers
+    std::uint64_t blockSize = 0; //!< 0 = default fold block
     std::uint64_t maxFoldedReplays = 0;
     std::uint64_t residentBudgetBytes = 0;
 

@@ -720,7 +720,6 @@ CampaignService::runJob(Job *j)
         o.approxWrongPath = spec.approxWrongPath;
         o.shuffleSeed = spec.shuffleSeed;
         o.threads = std::max(1u, spec.threads);
-        o.decodeThreads = spec.decodeThreads;
         o.blockSize = static_cast<std::size_t>(spec.blockSize);
         o.maxFoldedReplays = spec.maxFoldedReplays;
         o.manifestPath = j->dir + "/manifest.ledger";

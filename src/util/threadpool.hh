@@ -3,8 +3,8 @@
  * A pool of parked worker threads that repeatedly runs one job on
  * every worker at once. The replay engine keeps a pool alive for a
  * whole run, so per-block scheduling never pays thread creation; the
- * scheduler itself (atomic chunk counters, decode ring) lives in the
- * job bodies, not here.
+ * scheduler itself (atomic claim counters, admission ticket) lives in
+ * the job bodies, not here.
  */
 
 #ifndef LP_UTIL_THREADPOOL_HH

@@ -7,6 +7,8 @@
  *    (growing every recycled buffer to its high-water mark), then
  *    asserts that a second full pass — decode, image apply, warm-state
  *    reconstruction, detailed simulation — never enters the allocator.
+ *    At the engine level, a warm ReplayEngine::run over the whole
+ *    library allocates no more than one over two fold blocks.
  *  - The SoA CacheModel is behaviourally identical to the simple
  *    AoS true-LRU reference model it replaced: per-access hit and
  *    writeback results and final tag/recency/dirty state match on
@@ -343,6 +345,65 @@ zeroAllocSteadyState()
     }
 }
 
+/**
+ * The same contract one level up: the engine's per-worker decode
+ * scratch, point and context are reused across points and runs. After
+ * warm runs, a run over the whole library allocates exactly as much as
+ * a run over two fold blocks — only the per-run bookkeeping, nothing
+ * per point — at threads 1 and 2, single-config and fanned out.
+ */
+void
+zeroAllocEngineRun()
+{
+    const std::vector<CoreConfig> both{lptest::baseConfig(),
+                                       lptest::slowMemConfig()};
+    const lptest::TinyLib t =
+        lptest::buildTinyLibrary("hotpath-engine", 60'000, 33, 16, both);
+    const std::size_t n = t.lib.size();
+    const std::size_t block = 4;
+    CHECK(n >= 4 * block);
+    const std::vector<std::size_t> whole = replayOrder(n, 0);
+    const std::vector<std::size_t> twoBlocks(whole.begin(),
+                                             whole.begin() + 2 * block);
+
+    for (const std::size_t nc : {std::size_t{1}, std::size_t{2}}) {
+        const std::vector<CoreConfig> cfgs(both.begin(),
+                                           both.begin() + nc);
+        for (const unsigned threads : {1u, 2u}) {
+            ReplayEngineOptions ropt;
+            ropt.threads = threads;
+            ReplayEngine engine(t.prog, cfgs, ropt);
+            std::uint64_t cycles = 0;
+            const std::function<void(std::size_t, const WindowResult *)>
+                fold = [&](std::size_t, const WindowResult *w) {
+                    cycles += w[0].cycles;
+                };
+            const std::function<std::uint64_t(std::size_t)> barrier =
+                [nc](std::size_t) { return replayMaskAll(nc); };
+            auto allocsOf = [&](const std::vector<std::size_t> &order) {
+                const std::uint64_t before =
+                    gAllocs.load(std::memory_order_relaxed);
+                engine.run(t.lib, order, block, false, fold, barrier);
+                return gAllocs.load(std::memory_order_relaxed) - before;
+            };
+            allocsOf(whole);
+            // A worker's buffers reach their high-water mark once it
+            // has met the largest point, and which worker meets which
+            // point is up to the scheduler; so the pair is measured
+            // again until neither run grew a buffer. A per-point
+            // allocation would make every whole run the larger one.
+            std::uint64_t wholeRun = 0;
+            std::uint64_t perRun = 1;
+            for (int tries = 0; tries < 8 && wholeRun != perRun; ++tries) {
+                perRun = allocsOf(twoBlocks);
+                wholeRun = allocsOf(whole);
+            }
+            CHECK_EQ(wholeRun, perRun);
+            CHECK(cycles > 0);
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -352,5 +413,6 @@ main()
     overlayEquivalence();
     memoryImageFlatPath();
     zeroAllocSteadyState();
+    zeroAllocEngineRun();
     return TEST_MAIN_RESULT();
 }

@@ -414,7 +414,7 @@ main()
                   clib.compressedSize(i) + clib.rawSize(i));
         }
 
-        // The scratch decoder in stored order (the replay producer
+        // The scratch decoder in stored order (the replay worker
         // pattern, chain cache hot) and in random order (cold chain
         // walks) must both reproduce the plain build's points.
         {

@@ -6,7 +6,8 @@
  * everywhere. The storage matrix: every backend (in-memory arena,
  * owned-buffer load, mmap load) and the resident-budget streaming
  * mode must reproduce the same bits at threads 1/2/4, stopping
- * included.
+ * included, and an engine on a caller's pool of exactly `threads`
+ * workers matches one on its own pool.
  */
 
 #include "test_util.hh"
@@ -141,6 +142,44 @@ main()
         }
     }
 
+    // Shared pool: an engine needs exactly `threads` pool workers —
+    // the workers decode their own points, there is no other role —
+    // and gives the same bits on a caller's pool as on its own. A pool
+    // smaller than `threads` is refused.
+    {
+        const CoreConfig slow = slowMemConfig();
+        const std::vector<std::size_t> order = replayOrder(lib.size(), 5);
+        auto runBits = [&](const ReplayEngineOptions &ropt) {
+            ReplayEngine engine(prog, {cfg, slow}, ropt);
+            std::vector<std::uint64_t> cycles;
+            engine.run(
+                lib, order, 8, false,
+                [&](std::size_t, const WindowResult *w) {
+                    cycles.push_back(w[0].cycles);
+                    cycles.push_back(w[1].cycles);
+                },
+                [](std::size_t) { return replayMaskAll(2); });
+            return cycles;
+        };
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            ReplayEngineOptions owned;
+            owned.threads = threads;
+            const std::vector<std::uint64_t> base = runBits(owned);
+            CHECK_EQ(base.size(), 2 * lib.size());
+
+            ThreadPool pool(threads);
+            ReplayEngineOptions shared = owned;
+            shared.sharedPool = &pool;
+            CHECK(runBits(shared) == base);
+
+            if (threads > 1) {
+                ThreadPool small(threads - 1);
+                shared.sharedPool = &small;
+                CHECK_THROWS(ReplayEngine(prog, {cfg}, shared));
+            }
+        }
+    }
+
     // Storage matrix: a loaded library must replay bit-identically to
     // the in-memory build through every backend, with and without a
     // resident budget, at every thread count — the storage layer may
@@ -267,8 +306,12 @@ main()
                 std::uint64_t window = 0;
                 for (std::size_t i = 0; i < loaded.size(); ++i)
                     window += loaded.chargeBytes(i);
+                // Down to below one fold block, as for plain records:
+                // the degenerate block-at-a-time stream, with every
+                // worker admitting its own chain in claim order.
                 for (const std::uint64_t budget :
-                     {std::uint64_t{0}, window / 2, window / 4}) {
+                     {std::uint64_t{0}, window / 2, window / 4,
+                      window / 16, std::uint64_t{1}}) {
                     for (const unsigned threads : {1u, 2u, 4u}) {
                         LivePointRunOptions opt = ref;
                         opt.threads = threads;
@@ -290,6 +333,36 @@ main()
             }
         }
         std::remove(path.c_str());
+
+        // One engine, two delta libraries of the same program: a
+        // worker's scratch outlives a run, and the chain cache it
+        // holds from the first library must not serve as a base in
+        // the second.
+        auto delta = [](LivePointBuilderConfig &bc) {
+            bc.deltaEncode = true;
+        };
+        const TinyLib la =
+            buildTinyLibrary("replaytest", 500'000, 17, 64, {cfg}, 0, delta);
+        const TinyLib lb =
+            buildTinyLibrary("replaytest", 500'000, 17, 48, {cfg}, 0, delta);
+        CHECK(lb.lib.deltaCount() > 0);
+        ReplayEngine engine(prog, {cfg}, ReplayEngineOptions{});
+        ReplayContext fresh(prog, cfg);
+        for (std::size_t k = 0; k < 12; ++k) {
+            std::uint64_t got = 0;
+            try {
+                engine.run(la.lib, {k}, 1, false,
+                           [](std::size_t, const WindowResult *) {},
+                           [](std::size_t) { return replayMaskAll(1); });
+                engine.run(lb.lib, {k + 1}, 1, false,
+                           [&](std::size_t, const WindowResult *w) {
+                               got = w->cycles;
+                           },
+                           [](std::size_t) { return replayMaskAll(1); });
+            } catch (const std::exception &) {
+            }
+            CHECK_EQ(got, fresh.simulate(lb.lib.get(k + 1)).cycles);
+        }
     }
 
     // Stratified: the parallel pilot leaves every greedy decision —

@@ -12,6 +12,7 @@
 
 #include "test_util.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/der.hh"
 #include "core/campaign.hh"
 #include "core/library_set.hh"
 #include "svc/client.hh"
@@ -150,6 +152,35 @@ main()
         CHECK_EQ(back.blockSize, 4u);
         CHECK_EQ(back.deadlineMs, 1234u);
         CHECK(!back.stopAtConfidence);
+
+        // The slot after `threads` is reserved: encoders before the
+        // decode-producer threads were retired wrote their count there
+        // (spec.der files of an older daemon, submits of an older
+        // client). Such a payload must decode to the same JobSpec.
+        const Blob current = encodeJobSpec(spec);
+        auto uints = [](std::initializer_list<std::uint64_t> vs) {
+            DerWriter w;
+            for (const std::uint64_t v : vs)
+                w.putUint(v);
+            return w.finish();
+        };
+        const Blob slot0 = uints({spec.threads, 0, spec.blockSize});
+        const Blob slot3 = uints({spec.threads, 3, spec.blockSize});
+        Blob legacy = current;
+        const auto at = std::search(legacy.begin(), legacy.end(),
+                                    slot0.begin(), slot0.end());
+        CHECK(at != legacy.end());
+        CHECK(std::search(at + 1, legacy.end(), slot0.begin(),
+                          slot0.end()) == legacy.end());
+        if (at != legacy.end()) {
+            std::copy(slot3.begin(), slot3.end(), at);
+            CHECK(legacy != current);
+            const JobSpec old = decodeJobSpec(legacy);
+            // Re-encoding compares every field at once.
+            CHECK(encodeJobSpec(old) == current);
+            CHECK_EQ(old.threads, 2u);
+            CHECK_EQ(old.blockSize, 4u);
+        }
     }
 
 #if LP_TEST_FORK
